@@ -12,14 +12,27 @@ the number of starts whose slope drops below 1 at exactly this k.
 Only the current column is kept in memory, so the recursion streams to
 large k.  Every entry is an exact integer; floats appear only in the
 emitted distribution values F = N / 2**k.
+
+A column may carry a row cap, top.  Row i depends only on rows i-1 and
+i of the column before, so rows above top never feed a row at or below
+it, and a series to k_max needs no row above the last one it can shade,
+i_top = max{i : m**i < 2**k_max}.  density_series keeps only that band;
+its totals come from the doubling identity N(k) = 2*N(k-1) - shaded(k)
+instead of a sum over the column.  Once row i_top is shaded the band is
+empty: every later column up to k_max shades nothing and N doubles.  An
+uncapped column keeps every row and sums them for N; it is the full
+reference the tests compare the band against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from itertools import islice
+from operator import add
 from typing import NamedTuple
 
-from .bigmath import GREATER, cmp_pow, ratio_to_float
+from .bigmath import GREATER, LESS, cmp_pow, ratio_to_float
 from .trajectory import MapParams
 
 
@@ -30,8 +43,14 @@ class ShadedCell(NamedTuple):
 
 @dataclass(frozen=True)
 class DensityColumn:
-    """One table column: contiguous nonzero rows i_min..k plus the cell
-    zeroed at this k, if any.  N is the exact sum of the stored rows."""
+    """One table column: contiguous nonzero rows i_min..min(k, top)
+    plus the cell zeroed at this k, if any.
+
+    top caps the stored rows; None keeps the whole column.  N is always
+    the exact total of the whole column: the sum of the rows when
+    uncapped, carried by the doubling identity when capped (the rows
+    above the cap are not stored, but they are not zero).
+    """
 
     m: int
     k: int
@@ -39,10 +58,12 @@ class DensityColumn:
     rows: tuple[int, ...]
     shaded: ShadedCell | None
     N: int
+    top: int | None = None
 
     def row(self, i: int) -> int:
-        """Stored count for row i; zeroed and never-populated rows read 0."""
-        if self.i_min <= i <= self.k:
+        """Stored count for row i; zeroed, never-populated and unstored
+        rows above the cap read 0."""
+        if self.i_min <= i < self.i_min + len(self.rows):
             return self.rows[i - self.i_min]
         return 0
 
@@ -77,7 +98,10 @@ class DensitySeries:
     points: list[DensityPoint]
 
 
-MAX_SERIES_K = 100_000
+# Series cost grows about as k**3: a stride-1 series to k = 24 000 took
+# 66-82 s and 110 MB on one core of a Xeon VM, so a run to the bound
+# finishes in minutes, not hours.
+MAX_SERIES_K = 24_000
 MAX_BINOMIAL_K = 10_000
 
 
@@ -89,31 +113,47 @@ def initial_column(p: MapParams) -> DensityColumn:
 def next_column(col: DensityColumn) -> DensityColumn:
     """Advance the recursion by one column.
 
-    Candidate rows run from the old i_min to the new k; each candidate
-    is the Pascal sum of its two parents (absent parents read 0, so the
-    top candidate equals the old top row and the bottom one equals the
-    old bottom row, which stays 1 forever).  The top candidate is then
-    the only row that can fail the exact power test m**i > 2**k: if it
-    does, it becomes the shaded cell and is dropped.  The column total
-    is recomputed by direct summation, leaving the doubling identity
-    N(k) = 2*N(k-1) - shaded(k) as an independent cross-check.
+    Candidate rows run from the old i_min up to the new k, or up to top
+    for a capped column; each candidate is the Pascal sum of its two
+    parents (absent parents read 0, so candidate i_min equals the old
+    row i_min, and a new highest candidate equals the old highest row,
+    which in an uncapped column is the all-odd row and stays 1 forever).
+    Candidate i_min is then the only row that can fail the exact power
+    test m**i > 2**k: if it does, it becomes the shaded cell and is
+    dropped.
+
+    An uncapped column sums its rows for N, leaving the doubling
+    identity N(k) = 2*N(k-1) - shaded(k) as an independent cross-check.
+    A capped column does not store every row, so it takes N from that
+    identity.  Once its band is empty it shades nothing and N doubles,
+    which holds only while row top + 1 still passes the power test; a
+    step past that point raises ValueError.
     """
     m = col.m
     k = col.k + 1
     old = col.rows
-    cand = [old[0]]
-    for t in range(1, len(old)):
-        cand.append(old[t - 1] + old[t])
-    cand.append(old[-1])
     i_min = col.i_min
+    crossed = cmp_pow(m, i_min, k) != GREATER
+    if not old:
+        if crossed:
+            raise ValueError(f"row {i_min} above the band (top={col.top}) "
+                             f"would be shaded at k={k}")
+        return replace(col, k=k, shaded=None, N=2 * col.N)
+    cand = [old[0], *map(add, old, islice(old, 1, None))]
+    if col.top is None or i_min + len(old) <= col.top:
+        cand.append(old[-1])
     shaded = None
-    if cmp_pow(m, i_min, k) != GREATER:
+    if crossed:
         if cand[0] > 0:
             shaded = ShadedCell(row=i_min, count=cand[0])
         cand = cand[1:]
         i_min += 1
+    if col.top is None:
+        n = sum(cand)
+    else:
+        n = 2 * col.N - (shaded.count if shaded else 0)
     return DensityColumn(m=m, k=k, i_min=i_min, rows=tuple(cand),
-                         shaded=shaded, N=sum(cand))
+                         shaded=shaded, N=n, top=col.top)
 
 
 def _point(col: DensityColumn) -> DensityPoint:
@@ -123,16 +163,29 @@ def _point(col: DensityColumn) -> DensityPoint:
                         F_new=f_new, F_terras=f_terras, G=1.0 - f_new)
 
 
+def _band_top(m: int, k_max: int) -> int:
+    """The last row any column k <= k_max can shade: the largest i with
+    m**i < 2**k_max, or 0 when there is none (k_max = 0)."""
+    # The answer is ceil(k_max / log2(m)) - 1.  The float quotient is far
+    # closer than 1 to the exact one, so one row below its floor never
+    # overshoots and leaves the exact search at most two steps.
+    i = max(0, int(k_max / math.log2(m)) - 1)
+    while cmp_pow(m, i + 1, k_max) == LESS:
+        i += 1
+    return i
+
+
 def density_series(p: MapParams, k_max: int, stride: int = 1) -> DensitySeries:
     """Run the recursion to k_max, emitting a point at every multiple of
-    stride and at k_max itself (k = 0 is always emitted)."""
+    stride and at k_max itself (k = 0 is always emitted).  Only the band
+    of rows up to the last one shadeable by k_max is computed."""
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     if k_max > MAX_SERIES_K:
         raise ValueError(f"k_max={k_max} exceeds the practical bound {MAX_SERIES_K}")
     if stride < 1:
         raise ValueError("stride must be positive")
-    col = initial_column(p)
+    col = replace(initial_column(p), top=_band_top(p.m, k_max))
     points = [_point(col)]
     for k in range(1, k_max + 1):
         col = next_column(col)

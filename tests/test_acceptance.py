@@ -221,8 +221,16 @@ def test_criterion_07_doubling_recurrence(series3_full, series5_full):
             assert cur.F_new <= prev.F_new
             if cur.shaded_count == 0:
                 assert cur.F_new == prev.F_new
+    # The series takes N from the same identity, so it is also checked
+    # against the sum of the rows of the full, uncapped column.
+    for p, series in ((T3, series3_full), (T5, series5_full)):
+        col = initial_column(p)
+        for pt in series.points:
+            if pt.k:
+                col = next_column(col)
+            assert pt.N == sum(col.rows), f"m={p.m} k={pt.k}"
     print("\nPASS: criterion 7 - N(k) = 2N(k-1) - shaded(k) exactly for all "
-          "k <= 900, m=3 and m=5")
+          "k <= 900, m=3 and m=5, and N equals the full column's row sum")
 
 
 def test_criterion_08_periodicity_suite():

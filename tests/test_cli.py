@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from mxplus1.cli import main
+from mxplus1.density import MAX_SERIES_K
 
 
 def run(capsys, *argv):
@@ -110,6 +112,25 @@ def test_density_plot_format(capsys):
     assert "10 -1.2041" in out
 
 
+# sha256 of the full stdout of three table runs; any byte change in the
+# counts, the floats or the layout fails.
+DENSITY_STDOUT_SHA256 = {
+    ("--m", "3", "--k-max", "300", "--every", "1", "--format", "csv"):
+        "5e54719314bb87f06eb5d49f0f1d9ccbc33bc955c8d219a982f0e5c3c858463f",
+    ("--m", "3", "--k-max", "300", "--every", "1", "--format", "json"):
+        "5c895e63d9283c643c0b151b6d2c2bdbe9cb1978d43841b21432103dee1da443",
+    ("--m", "5", "--k-max", "300", "--every", "100", "--format", "table"):
+        "19127f7040c06e5b29b9210b7e7cc59fdc40b827b27332e62f249345542f396b",
+}
+
+
+@pytest.mark.parametrize("argv", list(DENSITY_STDOUT_SHA256), ids=["csv", "json", "table"])
+def test_density_stdout_byte_golden(capsys, argv):
+    code, out, _ = run(capsys, "density", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == DENSITY_STDOUT_SHA256[argv]
+
+
 def test_density_invalid_flags(capsys):
     code, _, err = run(capsys, "density", "--m", "3", "--k-max", "-1")
     assert code == 2 and "--k-max" in err
@@ -117,6 +138,8 @@ def test_density_invalid_flags(capsys):
     assert code == 2 and "--every" in err
     code, _, err = run(capsys, "density", "--m", "4", "--k-max", "5")
     assert code == 2
+    code, _, err = run(capsys, "density", "--m", "3", "--k-max", str(MAX_SERIES_K + 1))
+    assert code == 2 and "--k-max" in err and "practical bound" in err
 
 
 def test_usage_error_from_argparse():

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from mxplus1 import (GREATER, LESS, T3, T5, binomial_reference, cmp_pow,
-                     density_series, initial_column, next_column)
+from mxplus1 import (GREATER, LESS, T3, T5, MapParams, binomial_reference,
+                     cmp_pow, density_series, initial_column, next_column)
+from mxplus1.density import MAX_SERIES_K
 
 # The m=3 table through k=10: nonzero rows, the cell zeroed per column,
 # and the totals row.
@@ -73,6 +75,59 @@ def test_row_accessor_reads_zero_outside():
     assert col.row(6) == 0
     assert col.row(11) == 0
     assert col.row(0) == 0
+
+
+def test_row_accessor_reads_zero_above_band():
+    full = _columns(T3, 10)[10]
+    col = replace(initial_column(T3), top=8)
+    for _ in range(10):
+        col = next_column(col)
+    assert (col.i_min, col.rows, col.N) == (7, (30, 25), full.N)
+    assert [col.row(i) for i in range(12)] == \
+        [full.row(i) for i in range(9)] + [0, 0, 0]
+
+
+def test_band_empties_before_k_max():
+    # i_top = 567 for m=3, k_max=900 (3**567 < 2**900 < 3**568); row 567
+    # is shaded at k=899, so column 900 has no rows left, shades nothing
+    # and only doubles N.  Column 901 would shade row 568, which the band
+    # never held.
+    assert cmp_pow(3, 567, 900) == LESS and cmp_pow(3, 568, 900) == GREATER
+    full = initial_column(T3)
+    col = replace(full, top=567)
+    for _ in range(900):
+        full = next_column(full)
+        col = next_column(col)
+        assert (col.N, col.shaded) == (full.N, full.shaded)
+        if col.k == 899:
+            assert col.rows == () and col.shaded.row == 567
+    assert (col.rows, col.shaded, col.i_min) == ((), None, 568)
+    with pytest.raises(ValueError):
+        next_column(col)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
+def test_band_series_equals_full_chain(m):
+    # The series keeps only the band and takes N from the doubling
+    # identity; the uncapped chain keeps every row and sums them.  For
+    # many of these k_max (m=3: 3, 6, 9, ..., 900) the band empties
+    # before k_max.
+    p = MapParams(m)
+    col = initial_column(p)
+    ref = []
+    for k in range(1501):
+        if k:
+            col = next_column(col)
+        n = sum(col.rows)
+        f_new = n / 2**k
+        ref.append((k, n, col.shaded_count,
+                    f_new, (n + col.shaded_count) / 2**k, 1.0 - f_new))
+    for k_max in [*range(201), 900, 1500]:
+        for stride in (1, 7):
+            got = [(pt.k, pt.N, pt.shaded_count, pt.F_new, pt.F_terras, pt.G)
+                   for pt in density_series(p, k_max, stride).points]
+            want = [ref[k] for k in range(k_max + 1) if k % stride == 0 or k == k_max]
+            assert got == want, (k_max, stride)
 
 
 @pytest.mark.parametrize("p", [T3, T5], ids=["m3", "m5"])
@@ -152,6 +207,8 @@ def test_series_validation():
         density_series(T3, -1)
     with pytest.raises(ValueError):
         density_series(T3, 100_001)
+    with pytest.raises(ValueError, match="practical bound"):
+        density_series(T3, MAX_SERIES_K + 1)
     with pytest.raises(ValueError):
         density_series(T3, 10, 0)
 
