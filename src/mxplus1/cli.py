@@ -16,7 +16,7 @@ from .density import MAX_SERIES_K, density_series
 from .diophantine import (MAX_CYCLE_SEARCH_K, classify, equation_of_vector,
                           find_cycles, residue_of_vector)
 from .oracle import MAX_ORACLE_K, count_window, discrepancy_scan
-from .trajectory import (MapParams, iterate, parity_vector,
+from .trajectory import (MapParams, _parity_code, iterate, parity_vector,
                          stopping_time_actual, stopping_time_coefficient)
 
 MAX_PERIODICITY_K = 20
@@ -149,14 +149,14 @@ def _cmd_verify_periodicity(args) -> int:
         return _usage_error(f"--k must be in 1..{MAX_PERIODICITY_K}")
     if args.start < 0:
         return _usage_error("--start must be non-negative")
-    p = _map_params(args)
+    m = _map_params(args).m
     width = 1 << args.k
     seen = set()
     repeats_ok = True
     for n in range(args.start, args.start + width):
-        bits = parity_vector(p, n, args.k).bits
-        seen.add(bits)
-        if parity_vector(p, n + width, args.k).bits != bits:
+        code = _parity_code(m, n, args.k)
+        seen.add(code)
+        if _parity_code(m, n + width, args.k) != code:
             repeats_ok = False
     distinct_ok = len(seen) == width
     text = (

@@ -68,6 +68,7 @@ class Cycle:
 
 
 MAX_CYCLE_SEARCH_K = 28
+_SUBTREE_DEPTH = 12
 
 
 def solve(eq: DiophantineEq) -> DiophantineSolution:
@@ -163,11 +164,12 @@ def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
     """All cycles whose parity vector has length at most k_max.
 
     Walks the full binary tree of parity vectors once, carrying the
-    affine numerators (a, c) incrementally, and takes every integral
-    fixed point as a candidate; candidates are closed by iteration,
-    rotated to canonical form and deduplicated.  The same cycle is hit
-    from every rotation and every whole multiple of its period, so
-    deduplication is essential.  Sorted by (length, start).
+    offset numerator c and the odd-step count k2 incrementally (the
+    slope numerator a = m**k2 depends on k2 alone), and takes every
+    integral fixed point as a candidate; candidates are closed by
+    iteration, rotated to canonical form and deduplicated.  The same
+    cycle is hit from every rotation and every whole multiple of its
+    period, so deduplication is essential.  Sorted by (length, start).
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
@@ -175,17 +177,31 @@ def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
         raise ValueError(
             f"k_max={k_max} exceeds the enumeration budget ({MAX_CYCLE_SEARCH_K})")
     m = p.m
+    pow_m = [m**q for q in range(k_max + 1)]
     candidates: set[int] = set()
-    stack: list[tuple[int, int, int]] = [(1, 0, 0)]  # (a, c, depth)
+    # Node by node down to `top`, then each subtree below it level by
+    # level, as lists of c grouped by k2; a subtree's widest level holds
+    # 2**_SUBTREE_DEPTH values.
+    top = max(k_max - _SUBTREE_DEPTH, 0)
+    stack: list[tuple[int, int, int]] = [(0, 0, 0)]  # (k2, c, depth)
     while stack:
-        a, c, depth = stack.pop()
+        k2, c, depth = stack.pop()
         if depth:
-            d = (1 << depth) - a
+            d = (1 << depth) - pow_m[k2]
             if d and c % d == 0:
                 candidates.add(c // d)
-        if depth < k_max:
+        if depth < top:
             pw = 1 << depth
-            stack.append((a, c, depth + 1))
-            stack.append((a * m, m * c + pw, depth + 1))
+            stack.append((k2, c, depth + 1))
+            stack.append((k2 + 1, m * c + pw, depth + 1))
+            continue
+        groups = [[c]]  # groups[i]: the c of the nodes with k2 + i odd steps
+        for j in range(depth + 1, k_max + 1):
+            pw = 1 << (j - 1)
+            raised = [[m * x + pw for x in cs] for cs in groups]
+            groups = [even + odd for even, odd in zip(groups + [[]], [[]] + raised)]
+            for i, cs in enumerate(groups):
+                d = (1 << j) - pow_m[k2 + i]  # even minus odd, never 0
+                candidates.update(x // d for x in cs if x % d == 0)
     canon = {_close_cycle(p, x, k_max) for x in candidates}
     return [Cycle(v) for v in sorted(canon, key=lambda v: (len(v), v[0]))]

@@ -24,7 +24,7 @@ from .density import density_series
 from .trajectory import MapParams
 
 MAX_ORACLE_K = 26
-_DEFAULT_CHUNK = 1 << 18
+_DEFAULT_CHUNK = 1 << 16
 _INT64_HEADROOM = 1 << 62
 
 
@@ -62,21 +62,53 @@ def _int64_safe(m: int, k: int, stop: int) -> bool:
     return m * bound + 1 < _INT64_HEADROOM and m**k < _INT64_HEADROOM
 
 
-def _scan_fast(m: int, k: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized first-drop indices (0 = never) for one chunk."""
+def _coefficient_limits(m: int, k: int) -> list[int]:
+    """lim[j] = least i with m**i >= 2**j, for j = 0..k, so that the
+    coefficient test m**k2 < 2**j reads k2 < lim[j]."""
+    lim = []
+    i = 0
+    power = 1
+    for j in range(k + 1):
+        while power < 1 << j:
+            power *= m
+            i += 1
+        lim.append(i)
+    return lim
+
+
+def _scan_fast(m: int, k: int, start: int, stop: int):
+    """Vectorized scan of one chunk, with the same tallies as _scan_exact.
+
+    Only unsettled starts are stepped: a start is settled once both its
+    coefficient drop and its actual drop are found, and from then on it
+    adds to no tally (a coefficient drop before step k counts toward
+    neither gt nor ge).  The live arrays are compacted whenever they
+    have halved, but not after the last step, where a coefficient drop
+    at step k still counts toward ge.  Boolean compaction keeps order,
+    so the mismatches stay increasing.
+    """
+    lim = _coefficient_limits(m, k)
     n0 = np.arange(start, stop, dtype=np.int64)
     v = n0.copy()
-    k2 = np.zeros(n0.shape, dtype=np.int64)
-    first_coeff = np.zeros(n0.shape, dtype=np.int64)
-    first_actual = np.zeros(n0.shape, dtype=np.int64)
-    pow_m = np.array([m**i for i in range(k + 1)], dtype=np.int64)
+    # odd-step counts and first-drop steps (0 = none yet); k <= 26 fits int8
+    k2 = np.zeros(n0.shape, dtype=np.int8)
+    fc = np.zeros(n0.shape, dtype=np.int8)
+    fa = np.zeros(n0.shape, dtype=np.int8)
     for j in range(1, k + 1):
         odd = (v & 1).astype(bool)
         k2 += odd
         v = np.where(odd, (m * v + 1) >> 1, v >> 1)
-        np.putmask(first_coeff, (first_coeff == 0) & (pow_m[k2] < (1 << j)), j)
-        np.putmask(first_actual, (first_actual == 0) & (v < n0), j)
-    return n0, first_coeff, first_actual
+        np.putmask(fc, (fc == 0) & (k2 < lim[j]), j)
+        np.putmask(fa, (fa == 0) & (v < n0), j)
+        if j < k:
+            live = (fc == 0) | (fa == 0)
+            if 2 * np.count_nonzero(live) <= n0.size:
+                n0, v, k2, fc, fa = n0[live], v[live], k2[live], fc[live], fa[live]
+    gt = int(np.count_nonzero(fc == 0))
+    ge = gt + int(np.count_nonzero(fc == k))
+    agt = int(np.count_nonzero(fa == 0))
+    mism = n0[(fc == 0) != (fa == 0)].tolist()
+    return gt, ge, agt, mism
 
 
 def _scan_exact(m: int, k: int, start: int, stop: int):
@@ -116,14 +148,8 @@ def _scan_exact(m: int, k: int, start: int, stop: int):
 
 def _scan_chunk(args: tuple[int, int, int, int]):
     m, k, start, stop = args
-    if _int64_safe(m, k, stop):
-        n0, fc, fa = _scan_fast(m, k, start, stop)
-        gt = int(np.count_nonzero(fc == 0))
-        ge = gt + int(np.count_nonzero(fc == k))
-        agt = int(np.count_nonzero(fa == 0))
-        mism = n0[(fc == 0) != (fa == 0)].tolist()
-        return gt, ge, agt, mism
-    return _scan_exact(m, k, start, stop)
+    scan = _scan_fast if _int64_safe(m, k, stop) else _scan_exact
+    return scan(m, k, start, stop)
 
 
 def _chunks(offset: int, width: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -137,7 +163,7 @@ def _chunks(offset: int, width: int, chunk_size: int) -> list[tuple[int, int]]:
     return spans
 
 
-def _validate(k: int, offset: int, jobs: int) -> None:
+def _validate(k: int, offset: int, jobs: int, chunk_size: int) -> None:
     if k < 1:
         raise ValueError("k must be positive")
     if k > MAX_ORACLE_K:
@@ -146,6 +172,8 @@ def _validate(k: int, offset: int, jobs: int) -> None:
         raise ValueError("offset must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
 
 
 def _run_scans(p: MapParams, k: int, offset: int, jobs: int, chunk_size: int):
@@ -165,9 +193,7 @@ def count_window(p: MapParams, k: int, offset: int = 1, *, jobs: int = 1,
     counts because a window of width 2**k meets every residue class
     mod 2**k exactly once.
     """
-    _validate(k, offset, jobs)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
+    _validate(k, offset, jobs, chunk_size)
     results = _run_scans(p, k, offset, jobs, chunk_size)
     gt = sum(r[0] for r in results)
     ge = sum(r[1] for r in results)
@@ -185,9 +211,7 @@ def discrepancy_scan(p: MapParams, k: int, offset: int = 1, *, jobs: int = 1,
     in increasing order.  A coefficient drop is necessary for an actual
     drop, so each listed n survives k steps in value while its slope
     has already dipped below 1."""
-    _validate(k, offset, jobs)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
+    _validate(k, offset, jobs, chunk_size)
     results = _run_scans(p, k, offset, jobs, chunk_size)
     out: list[int] = []
     for r in results:

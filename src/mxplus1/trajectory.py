@@ -144,17 +144,27 @@ def iterate(p: MapParams, n: int, k: int) -> Trajectory:
     return Trajectory(tuple(values))
 
 
+def _parity_code(m: int, n: int, k: int) -> int:
+    """Parities of the first k trajectory values of n, packed: bit j of
+    the result is the parity of the j-th value.  Python's & and >> on
+    negative ints agree with % 2 and // 2, so negative n is exact."""
+    code = 0
+    v = n
+    for j in range(k):
+        if v & 1:
+            code |= 1 << j
+            v = (m * v + 1) >> 1
+        else:
+            v >>= 1
+    return code
+
+
 def parity_vector(p: MapParams, n: int, k: int) -> ParityVector:
     """Parities of the first k trajectory values of n."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    bits = []
-    v = n
-    for _ in range(k):
-        b = v % 2
-        bits.append(b)
-        v = v // 2 if b == 0 else (p.m * v + 1) // 2
-    return ParityVector(tuple(bits))
+    code = _parity_code(p.m, n, k)
+    return ParityVector(tuple((code >> j) & 1 for j in range(k)))
 
 
 def affine_of_vector(p: MapParams, w: ParityVector) -> AffineForm:

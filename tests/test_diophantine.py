@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -103,6 +104,34 @@ def test_find_cycles_close_and_are_distinct():
             traj = iterate(p, c.start, c.length)
             assert traj.values[-1] == c.start
             assert traj.values[:-1] == c.values
+
+
+def _reference_cycles(p, k_max):
+    """Cycles from the fixed point of every vector of length <= k_max,
+    closed by plain iteration and rotated to start at the element of
+    least magnitude (ties toward the smaller)."""
+    cycles = set()
+    for k in range(1, k_max + 1):
+        for bits in itertools.product((0, 1), repeat=k):
+            x = cycle_candidate(p, ParityVector(bits))
+            if x is None:
+                continue
+            values = [x]
+            while (v := step(p, values[-1])) != x:
+                values.append(v)
+                assert len(values) <= k
+            pivot = values.index(min(values, key=lambda t: (abs(t), t)))
+            cycles.add(tuple(values[pivot:] + values[:pivot]))
+    return sorted(cycles, key=lambda v: (len(v), v[0]))
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_find_cycles_matches_vector_enumeration(m):
+    # k_max runs past the depth below which subtrees are expanded level
+    # by level, so both the node-by-node walk and the batches are covered.
+    p = MapParams(m)
+    for k_max in range(1, 15):
+        assert [c.values for c in find_cycles(p, k_max)] == _reference_cycles(p, k_max)
 
 
 def test_find_cycles_budget():

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mxplus1 import T3, T5, MapParams, count_window, discrepancy_scan
-from mxplus1.oracle import _scan_chunk, _scan_exact
+from mxplus1 import LESS, T3, T5, MapParams, cmp_pow, count_window, discrepancy_scan
+from mxplus1.oracle import (_coefficient_limits, _int64_safe, _scan_chunk,
+                            _scan_exact)
 
 
 def test_count_window_examples():
@@ -78,6 +81,56 @@ def test_fast_path_matches_exact_path(m, offset):
         assert list(fast[3]) == list(exact[3])
 
 
+@given(m=st.sampled_from([3, 5, 7, 9]),
+       k=st.integers(min_value=1, max_value=14),
+       start=st.integers(min_value=1, max_value=1 << 24),
+       size=st.sampled_from([1, 7, 37]) | st.integers(min_value=1, max_value=1 << 14))
+@settings(max_examples=300, deadline=None)
+def test_fast_chunk_equals_exact_chunk(m, k, start, size):
+    # Sizes 1, 7 and 37 leave the live arrays at odd lengths, so the
+    # halving test fires at uneven points of the scan.
+    stop = start + size
+    assert _int64_safe(m, k, stop)  # the vectorized path is the one tested
+    assert _scan_chunk((m, k, start, stop)) == _scan_exact(m, k, start, stop)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
+def test_coefficient_limits_against_cmp_pow(m):
+    lim = _coefficient_limits(m, 26)
+    assert len(lim) == 27
+    for j, i in enumerate(lim):
+        assert cmp_pow(m, i, j) != LESS  # m**i >= 2**j ...
+        assert i == 0 or cmp_pow(m, i - 1, j) == LESS  # ... and i is the least
+
+
+def _first_unsafe_stop(m: int, k: int) -> int:
+    lo, hi = 1, 1 << 62  # _int64_safe holds at lo and fails at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _int64_safe(m, k, mid) else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("m,k", [(3, 10), (5, 10), (7, 8)])
+def test_window_across_int64_bound(m, k):
+    # The first chunks of this window end below the int64 bound and run
+    # vectorized, the later ones end above it and run on big integers;
+    # the tallies must be the exact scan's and the near window's.
+    chunk = 1 << (k - 3)
+    offset = _first_unsafe_stop(m, k) - (1 << (k - 1))
+    assert _int64_safe(m, k, offset + chunk)
+    assert not _int64_safe(m, k, offset + (1 << k))
+    p = MapParams(m)
+    far = count_window(p, k, offset, chunk_size=chunk)
+    gt, ge, agt, mism = _scan_exact(m, k, offset, offset + (1 << k))
+    assert (far.count_coefficient_gt, far.count_coefficient_ge,
+            far.count_actual_gt) == (gt, ge, agt)
+    assert discrepancy_scan(p, k, offset, chunk_size=chunk) == mism
+    near = count_window(p, k, 1)
+    assert far.count_coefficient_gt == near.count_coefficient_gt == near.table_N
+    assert far.count_coefficient_ge == near.count_coefficient_ge
+
+
 def test_fallback_far_window_matches_near_window():
     # offsets far beyond the int64-safe bound force the big-int path;
     # window invariance must still hold
@@ -109,6 +162,8 @@ def test_validation():
         count_window(T3, 5, 1, chunk_size=0)
     with pytest.raises(ValueError):
         discrepancy_scan(T3, 27)
+    with pytest.raises(ValueError, match="chunk_size must be positive"):
+        discrepancy_scan(T3, 5, 1, chunk_size=0)
 
 
 def test_generalizes_to_other_multipliers():

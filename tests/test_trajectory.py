@@ -98,6 +98,15 @@ def test_affine_identity(m, n, k):
     assert f.apply(n) == end
 
 
+@given(m=st.sampled_from([3, 5, 7]),
+       n=st.integers(min_value=-(1 << 70), max_value=1 << 70),
+       k=st.integers(min_value=0, max_value=40))
+@settings(max_examples=300, deadline=None)
+def test_parity_vector_reads_trajectory_parities(m, n, k):
+    p = MapParams(m)
+    assert parity_vector(p, n, k).bits == tuple(v % 2 for v in iterate(p, n, k).values[:k])
+
+
 @given(m=st.sampled_from([3, 5]),
        n=st.integers(min_value=1, max_value=10**9),
        k=st.integers(min_value=1, max_value=16))
