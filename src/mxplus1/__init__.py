@@ -14,7 +14,8 @@ from .diophantine import (Classification, Cycle, DiophantineEq,
                           DiophantineSolution, classify, cycle_candidate,
                           equation_of_vector, find_cycles, residue_of_vector,
                           solve)
-from .oracle import OracleReport, count_window, discrepancy_scan
+from .oracle import (OracleReport, count_window, discrepancy_scan,
+                     periodicity_window)
 from .report import to_csv, to_json, to_plot_data
 from .trajectory import (AffineForm, MapParams, ParityVector,
                          StoppingTimeResult, T3, T5, Trajectory,
@@ -31,7 +32,7 @@ __all__ = [
     "affine_of_vector", "binomial_reference", "classify", "cmp_pow",
     "count_window", "cycle_candidate", "density_series", "discrepancy_scan",
     "equation_of_vector", "find_cycles", "initial_column", "iterate",
-    "next_column", "parity_vector", "ratio_to_float", "residue_of_vector",
-    "solve", "step", "stopping_time_actual", "stopping_time_coefficient",
-    "to_csv", "to_json", "to_plot_data",
+    "next_column", "parity_vector", "periodicity_window", "ratio_to_float",
+    "residue_of_vector", "solve", "step", "stopping_time_actual",
+    "stopping_time_coefficient", "to_csv", "to_json", "to_plot_data",
 ]

@@ -15,11 +15,10 @@ from . import report
 from .density import MAX_SERIES_K, density_series
 from .diophantine import (MAX_CYCLE_SEARCH_K, classify, equation_of_vector,
                           find_cycles, residue_of_vector)
-from .oracle import MAX_ORACLE_K, count_window, discrepancy_scan
-from .trajectory import (MapParams, _parity_code, iterate, parity_vector,
-                         stopping_time_actual, stopping_time_coefficient)
-
-MAX_PERIODICITY_K = 20
+from .oracle import (MAX_ORACLE_K, MAX_PERIODICITY_K, count_window,
+                     discrepancy_scan, periodicity_window)
+from .trajectory import (MapParams, iterate, parity_vector, stopping_time_actual,
+                         stopping_time_coefficient)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -149,19 +148,12 @@ def _cmd_verify_periodicity(args) -> int:
         return _usage_error(f"--k must be in 1..{MAX_PERIODICITY_K}")
     if args.start < 0:
         return _usage_error("--start must be non-negative")
-    m = _map_params(args).m
+    distinct, repeats_ok = periodicity_window(_map_params(args), args.k, args.start)
     width = 1 << args.k
-    seen = set()
-    repeats_ok = True
-    for n in range(args.start, args.start + width):
-        code = _parity_code(m, n, args.k)
-        seen.add(code)
-        if _parity_code(m, n + width, args.k) != code:
-            repeats_ok = False
-    distinct_ok = len(seen) == width
+    distinct_ok = distinct == width
     text = (
         f"m {args.m} k {args.k} start {args.start}\n"
-        f"distinct {len(seen)} of {width}\n"
+        f"distinct {distinct} of {width}\n"
         f"repetition {'ok' if repeats_ok else 'violated'}\n"
         f"{'PASS' if distinct_ok and repeats_ok else 'FAIL'}\n"
     )

@@ -7,10 +7,15 @@ first coefficient drop (m**k2 < 2**j) and the first actual value drop
 (T^(j)(n) < n), and tally.  Counting is chunked; chunks are summed, so
 the result is bit-identical for any chunking or worker count.
 
-Per chunk there is a vectorized int64 path and an exact big-integer
-path.  The fast path is used only when a conservative bound proves that
-no intermediate value can overflow 64-bit arithmetic; otherwise the
-exact path runs.  Both produce identical tallies wherever both apply.
+Per chunk there are two vectorized paths.  The int64 path is used when
+a conservative bound proves that no intermediate value can overflow
+64-bit arithmetic; otherwise the multi-limb path holds each value in
+several int64 limbs.  A pure big-integer scan stays as the reference
+the tests compare both against.  All three give identical tallies.
+
+The same limb stepper computes packed parity codes for the periodicity
+check: parity vectors of length k repeat with period 2**k, and the
+2**k vectors of one window are all distinct (Terras 1976).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .density import density_series
 from .trajectory import MapParams
 
 MAX_ORACLE_K = 26
+MAX_PERIODICITY_K = 20
 _DEFAULT_CHUNK = 1 << 16
 _INT64_HEADROOM = 1 << 62
 
@@ -55,11 +61,17 @@ class OracleReport:
         return self.count_coefficient_gt == self.table_N
 
 
-def _int64_safe(m: int, k: int, stop: int) -> bool:
+def _step_bound(m: int, k: int, stop: int) -> int:
+    """Bound above every m*v + 1 computed within k steps of a start
+    below stop."""
     # Largest intermediate from a start below `stop` is under
     # (stop+1) * (m/2)**k; the step computes m*v + 1 before halving.
     bound = ((stop + 1) * m**k >> k) + 1
-    return m * bound + 1 < _INT64_HEADROOM and m**k < _INT64_HEADROOM
+    return m * bound + 1
+
+
+def _int64_safe(m: int, k: int, stop: int) -> bool:
+    return _step_bound(m, k, stop) < _INT64_HEADROOM and m**k < _INT64_HEADROOM
 
 
 def _coefficient_limits(m: int, k: int) -> list[int]:
@@ -74,6 +86,15 @@ def _coefficient_limits(m: int, k: int) -> list[int]:
             i += 1
         lim.append(i)
     return lim
+
+
+def _tally(k: int, fc: np.ndarray, fa: np.ndarray):
+    """gt, ge and agt of a scanned chunk from its first-drop steps, and
+    the mask of starts where the two survival notions differ."""
+    gt = int(np.count_nonzero(fc == 0))
+    ge = gt + int(np.count_nonzero(fc == k))
+    agt = int(np.count_nonzero(fa == 0))
+    return gt, ge, agt, (fc == 0) != (fa == 0)
 
 
 def _scan_fast(m: int, k: int, start: int, stop: int):
@@ -104,15 +125,127 @@ def _scan_fast(m: int, k: int, start: int, stop: int):
             live = (fc == 0) | (fa == 0)
             if 2 * np.count_nonzero(live) <= n0.size:
                 n0, v, k2, fc, fa = n0[live], v[live], k2[live], fc[live], fa[live]
-    gt = int(np.count_nonzero(fc == 0))
-    ge = gt + int(np.count_nonzero(fc == k))
-    agt = int(np.count_nonzero(fa == 0))
-    mism = n0[(fc == 0) != (fa == 0)].tolist()
-    return gt, ge, agt, mism
+    gt, ge, agt, differ = _tally(k, fc, fa)
+    return gt, ge, agt, n0[differ].tolist()
+
+
+def _limb_width(m: int) -> int:
+    # A limb of 62 - bits(m) bits keeps m*limb + carry below 2**63.  Past
+    # 31-bit multipliers, m is itself split into 31-bit limbs.
+    return 62 - min(m.bit_length(), 31)
+
+
+def _limb_count(m: int, k: int, stop: int, width: int) -> int:
+    # enough limbs for every m*v + 1 within k steps of a start below stop
+    return -(-(_step_bound(m, k, stop) - 1).bit_length() // width)
+
+
+def _int_limbs(n: int, width: int) -> list[int]:
+    mask = (1 << width) - 1
+    return [(n >> i) & mask for i in range(0, n.bit_length(), width)]
+
+
+def _range_limbs(start: int, size: int, count: int, width: int) -> list[np.ndarray]:
+    """start, start+1, ..., start+size-1 as `count` int64 limbs of
+    `width` bits each, least significant first."""
+    mask = (1 << width) - 1
+    limbs = []
+    carry = np.arange(size, dtype=np.int64)
+    for i in range(count):
+        limb = carry + ((start >> (width * i)) & mask)
+        carry = limb >> width
+        limbs.append(limb & mask)
+    return limbs
+
+
+def _limbs_to_ints(limbs: list[np.ndarray], width: int) -> list[int]:
+    return [sum(x << (width * i) for i, x in enumerate(col))
+            for col in zip(*(limb.tolist() for limb in limbs))]
+
+
+def _step_limbs(v: list[np.ndarray], odd: np.ndarray, m_limbs: list[int],
+                width: int) -> None:
+    """One step of the map on limbs, in place: (m*v + 1) >> 1 where odd
+    is 1 and v >> 1 where it is 0.
+
+    Both cases are v + odd*((m-1)*v + 1): one multiply-add with carry
+    from the lowest limb up, then a one-bit shift across the limbs.  The
+    caller's limb count keeps m*v + 1 inside the limbs, so the top limb
+    never carries out and is never masked.
+    """
+    mask = (1 << width) - 1
+    top = len(v) - 1
+    # with m in one limb, limb s of the product reads only limb s of v
+    src = v if len(m_limbs) == 1 else [limb.copy() for limb in v]
+    term = np.empty_like(odd)
+    carry = odd
+    for s in range(top + 1):
+        for j, mu in enumerate(m_limbs[:s + 1]):
+            np.multiply(src[s - j], mu - 1 if j == 0 else mu, out=term)
+            term *= odd
+            if j == 0:
+                term += carry
+            v[s] += term
+            if s < top:
+                high = v[s] >> width
+                v[s] &= mask
+                carry = high if j == 0 else carry + high
+    for s in range(top):
+        np.bitwise_and(v[s + 1], 1, out=term)
+        term <<= width - 1
+        v[s] >>= 1
+        v[s] |= term
+    v[top] >>= 1
+
+
+def _limbs_less(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
+    """a < b, comparing limbs from the top one down."""
+    less = a[-1] < b[-1]
+    equal = a[-1] == b[-1]
+    for x, y in zip(a[-2::-1], b[-2::-1]):
+        less |= equal & (x < y)
+        equal &= x == y
+    return less
+
+
+def _scan_limbs(m: int, k: int, start: int, stop: int):
+    """_scan_fast for chunks past the int64 bound, on multi-limb values.
+
+    Every value is a list of int64 limbs of _limb_width(m) bits, least
+    significant first.  The limb count comes from the bound that
+    _int64_safe tests, so m*v + 1 always fits.  The coefficient test,
+    settling, compaction and the result are _scan_fast's.
+    """
+    lim = _coefficient_limits(m, k)
+    width = _limb_width(m)
+    m_limbs = _int_limbs(m, width)
+    n0 = _range_limbs(start, stop - start, _limb_count(m, k, stop, width), width)
+    v = [limb.copy() for limb in n0]
+    k2 = np.zeros(stop - start, dtype=np.int8)
+    fc = np.zeros_like(k2)
+    fa = np.zeros_like(k2)
+    for j in range(1, k + 1):
+        odd = v[0] & 1
+        k2 += odd.astype(np.int8)
+        _step_limbs(v, odd, m_limbs, width)
+        np.putmask(fc, (fc == 0) & (k2 < lim[j]), j)
+        np.putmask(fa, (fa == 0) & _limbs_less(v, n0), j)
+        if j < k:
+            live = (fc == 0) | (fa == 0)
+            if 2 * np.count_nonzero(live) <= k2.size:
+                n0 = [limb[live] for limb in n0]
+                v = [limb[live] for limb in v]
+                k2, fc, fa = k2[live], fc[live], fa[live]
+    gt, ge, agt, differ = _tally(k, fc, fa)
+    return gt, ge, agt, _limbs_to_ints([limb[differ] for limb in n0], width)
 
 
 def _scan_exact(m: int, k: int, start: int, stop: int):
-    """Pure-integer reference scan; exact for any m, k, offset."""
+    """Pure-integer reference scan; exact for any m, k, offset.
+
+    Production never calls it: _scan_chunk runs _scan_fast or
+    _scan_limbs.  The tests compare both against it.
+    """
     gt = ge = agt = 0
     mismatches = []
     for n in range(start, stop):
@@ -146,9 +279,47 @@ def _scan_exact(m: int, k: int, start: int, stop: int):
     return gt, ge, agt, mismatches
 
 
+def _parity_codes(m: int, k: int, start: int, size: int) -> np.ndarray:
+    """trajectory._parity_code of start, start+1, ..., start+size-1 as
+    an int64 array: bit j is the parity of the j-th value."""
+    width = _limb_width(m)
+    m_limbs = _int_limbs(m, width)
+    v = _range_limbs(start, size, _limb_count(m, k, start + size, width), width)
+    code = np.zeros(size, dtype=np.int64)
+    for j in range(k):
+        odd = v[0] & 1
+        code |= odd << j
+        if j + 1 < k:
+            _step_limbs(v, odd, m_limbs, width)
+    return code
+
+
+def periodicity_window(p: MapParams, k: int, start: int) -> tuple[int, bool]:
+    """Check Terras's periodicity on the window [start, start + 2**k).
+
+    Returns how many distinct parity vectors of length k the window's
+    starts have (the theorem says all 2**k), and whether every start's
+    vector equals that of the start 2**k above it.  The window is
+    stepped in chunks; one table of 2**k flags collects the codes.
+    """
+    if not 1 <= k <= MAX_PERIODICITY_K:
+        raise ValueError(f"k must be in 1..{MAX_PERIODICITY_K}")
+    if start < 0:
+        raise ValueError("start must be non-negative")
+    width = 1 << k
+    seen = np.zeros(width, dtype=bool)
+    repeats_ok = True
+    for lo, hi in _chunks(start, width, _DEFAULT_CHUNK):
+        codes = _parity_codes(p.m, k, lo, hi - lo)
+        seen[codes] = True
+        repeats_ok = repeats_ok and np.array_equal(
+            codes, _parity_codes(p.m, k, lo + width, hi - lo))
+    return int(np.count_nonzero(seen)), repeats_ok
+
+
 def _scan_chunk(args: tuple[int, int, int, int]):
     m, k, start, stop = args
-    scan = _scan_fast if _int64_safe(m, k, stop) else _scan_exact
+    scan = _scan_fast if _int64_safe(m, k, stop) else _scan_limbs
     return scan(m, k, start, stop)
 
 

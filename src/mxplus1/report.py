@@ -34,14 +34,24 @@ def format_float(x: float) -> str:
     return f"{mant}e{e}"
 
 
+def _digits(n: int) -> str:
+    """Exact decimal digits of n, also past CPython's limit on int->str
+    conversion (4300 digits by default), where str() raises."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # only here: importing it costs every run
+        return str(Decimal(n))
+
+
 def to_csv(series: DensitySeries) -> str:
     lines = [CSV_HEADER]
     for pt in series.points:
         lines.append(",".join((
             str(pt.k),
-            str(pt.N),
-            str(1 << pt.k),
-            str(pt.shaded_count),
+            _digits(pt.N),
+            _digits(1 << pt.k),
+            _digits(pt.shaded_count),
             format_float(pt.F_new),
             format_float(pt.F_terras),
             format_float(pt.G),
@@ -52,9 +62,9 @@ def to_csv(series: DensitySeries) -> str:
 def _density_record(m: int, pt: DensityPoint, variant: str) -> dict:
     return {
         "k": pt.k,
-        "N": str(pt.N),
-        "pow2k": str(1 << pt.k),
-        "shaded": str(pt.shaded_count),
+        "N": _digits(pt.N),
+        "pow2k": _digits(1 << pt.k),
+        "shaded": _digits(pt.shaded_count),
         "F_new": pt.F_new,
         "F_terras": pt.F_terras,
         "G": pt.G,

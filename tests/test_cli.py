@@ -182,3 +182,26 @@ def test_jobs_flag_output_independent(capsys):
     _, seq, _ = run(capsys, "oracle", "--m", "3", "--k", "12", "--jobs", "1")
     _, par, _ = run(capsys, "oracle", "--m", "3", "--k", "12", "--jobs", "3")
     assert seq == par
+
+
+# Full stdout and exit code of brute-force checks far past the int64
+# bound, frozen from the per-start Python loops these runs used before
+# they were vectorized.
+CHECK_STDOUT = {
+    ("verify-periodicity", "--m", "3", "--k", "16", "--start", "103694312"): (
+        0, "m 3 k 16 start 103694312\ndistinct 65536 of 65536\nrepetition ok\nPASS\n"),
+    ("verify-periodicity", "--m", "5", "--k", "10", "--start", str(2**70)): (
+        0, "m 5 k 10 start 1180591620717411303424\ndistinct 1024 of 1024\n"
+           "repetition ok\nPASS\n"),
+    ("oracle", "--m", "5", "--k", "14", "--offset", str(2**61 + 3)): (
+        0, "m 5 k 14 offset 2305843009213693955\ntable_N 3830\n"
+           "count_coefficient_gt 3830\ncount_coefficient_ge 4032\n"
+           "count_actual_gt 3830\ndiscrepancy 0\nmatch yes\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(CHECK_STDOUT),
+                         ids=["periodicity-m3-k16", "periodicity-m5-2e70", "oracle-m5-2e61"])
+def test_check_stdout_byte_golden(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == CHECK_STDOUT[argv]

@@ -1,10 +1,16 @@
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mxplus1 import LESS, T3, T5, MapParams, cmp_pow, count_window, discrepancy_scan
-from mxplus1.oracle import (_coefficient_limits, _int64_safe, _scan_chunk,
-                            _scan_exact)
+from mxplus1 import (LESS, T3, T5, MapParams, cmp_pow, count_window,
+                     discrepancy_scan, periodicity_window)
+from mxplus1 import oracle
+from mxplus1.oracle import (_coefficient_limits, _int64_safe, _limb_count,
+                            _limb_width, _parity_codes, _scan_chunk, _scan_exact)
+from mxplus1.trajectory import _parity_code
 
 
 def test_count_window_examples():
@@ -104,6 +110,8 @@ def test_coefficient_limits_against_cmp_pow(m):
 
 
 def _first_unsafe_stop(m: int, k: int) -> int:
+    if not _int64_safe(m, k, 1):
+        return 1
     lo, hi = 1, 1 << 62  # _int64_safe holds at lo and fails at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -114,8 +122,9 @@ def _first_unsafe_stop(m: int, k: int) -> int:
 @pytest.mark.parametrize("m,k", [(3, 10), (5, 10), (7, 8)])
 def test_window_across_int64_bound(m, k):
     # The first chunks of this window end below the int64 bound and run
-    # vectorized, the later ones end above it and run on big integers;
-    # the tallies must be the exact scan's and the near window's.
+    # on one int64 per value, the later ones end above it and run on
+    # multi-limb values; the tallies must be the exact scan's and the
+    # near window's.
     chunk = 1 << (k - 3)
     offset = _first_unsafe_stop(m, k) - (1 << (k - 1))
     assert _int64_safe(m, k, offset + chunk)
@@ -131,8 +140,37 @@ def test_window_across_int64_bound(m, k):
     assert far.count_coefficient_ge == near.count_coefficient_ge
 
 
+@given(m=st.sampled_from([3, 5, 7, 9, 2**40 + 1, 2**70 + 1]),
+       k=st.integers(min_value=1, max_value=14),
+       shift=st.integers(min_value=0, max_value=1 << 100)
+       | st.integers(min_value=1 << 99, max_value=1 << 100),
+       size=st.sampled_from([1, 7, 37]) | st.integers(min_value=1, max_value=1 << 12))
+@settings(max_examples=200, deadline=None)
+def test_limb_chunk_equals_exact_chunk(m, k, shift, size):
+    # Every chunk ends past the int64 bound, from just past it to 2**100
+    # beyond; 2**40+1 and 2**70+1 are split into limbs themselves.
+    start = max(1, _first_unsafe_stop(m, k) - size) + shift
+    stop = start + size
+    assert not _int64_safe(m, k, stop)
+    want = _scan_exact(m, k, start, stop)
+    with mock.patch.object(oracle, "_scan_exact", side_effect=AssertionError):
+        assert _scan_chunk((m, k, start, stop)) == want
+
+
+@pytest.mark.parametrize("m", [2**31 - 1, 2**40 + 1, 2**61 - 1, 3**40, 2**70 + 1])
+def test_limb_chunk_wide_multipliers(m):
+    # 3**40 and 2**61-1 fill their 31-bit limbs of m, so every product
+    # term carries; random 100-bit starts fill every limb of v.
+    rng = random.Random(m)
+    for k in range(1, 13):
+        start = rng.getrandbits(100)
+        assert _scan_chunk((m, k, start, start + 64)) == _scan_exact(m, k, start, start + 64)
+        codes = _parity_codes(m, k, start, 64).tolist()
+        assert codes == [_parity_code(m, n, k) for n in range(start, start + 64)]
+
+
 def test_fallback_far_window_matches_near_window():
-    # offsets far beyond the int64-safe bound force the big-int path;
+    # offsets far beyond the int64-safe bound force the multi-limb path;
     # window invariance must still hold
     far = 3 * 10**17 + 1
     for k in (4, 6):
@@ -169,3 +207,64 @@ def test_validation():
 def test_generalizes_to_other_multipliers():
     rep = count_window(MapParams(7), 8)
     assert rep.matches_table
+
+
+def _first_stop_on_limbs(m: int, k: int, count: int) -> int:
+    """Least stop whose chunks run on at least `count` limbs."""
+    width = _limb_width(m)
+    lo, hi = 0, 1 << (width * count + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _limb_count(m, k, mid, width) >= count else (mid, hi)
+    return hi
+
+
+@given(m=st.sampled_from([3, 5, 7, 2**40 + 1]),
+       k=st.integers(min_value=1, max_value=12),
+       start=st.integers(min_value=0, max_value=1 << 100),
+       near=st.sampled_from([None, 2, 3]),
+       size=st.integers(min_value=1, max_value=1 << 10))
+@settings(max_examples=200, deadline=None)
+def test_parity_codes_equal_parity_code_loop(m, k, start, near, size):
+    if near is not None:
+        # the range ends just past the bound of near - 1 limbs
+        start = max(0, _first_stop_on_limbs(m, k, near) - 1 - start % size)
+    codes = _parity_codes(m, k, start, size)
+    assert codes.tolist() == [_parity_code(m, n, k) for n in range(start, start + size)]
+
+
+def _periodicity_by_loop(m: int, k: int, start: int) -> tuple[int, bool]:
+    width = 1 << k
+    codes = [_parity_code(m, n, k) for n in range(start, start + 2 * width)]
+    return len(set(codes[:width])), codes[:width] == codes[width:]
+
+
+@pytest.mark.parametrize("m,k,start", [
+    (3, 1, 0), (3, 8, 1), (5, 12, 12345), (7, 9, 2**100 - 3), (2**40 + 1, 6, 2**80),
+])
+def test_periodicity_window_equals_parity_code_loop(m, k, start):
+    want = _periodicity_by_loop(m, k, start)
+    assert want == (1 << k, True)
+    for chunk in (1 << 16, 7, (1 << k) // 2 + 1):
+        with mock.patch.object(oracle, "_DEFAULT_CHUNK", chunk):
+            assert periodicity_window(MapParams(m), k, start) == want
+
+
+@pytest.mark.parametrize("m,k", [(3, 10), (5, 11), (7, 8)])
+def test_periodicity_window_across_int64_bound(m, k):
+    # The window's first chunks run on one int64 limb, the later ones
+    # (and the shifted window) on two.
+    width = 1 << k
+    start = _first_stop_on_limbs(m, k, 2) - width
+    chunk = width // 8
+    assert _limb_count(m, k, start + chunk, _limb_width(m)) == 1
+    assert _limb_count(m, k, start + width, _limb_width(m)) == 2
+    want = _periodicity_by_loop(m, k, start)
+    with mock.patch.object(oracle, "_DEFAULT_CHUNK", chunk):
+        assert periodicity_window(MapParams(m), k, start) == want == (width, True)
+
+
+def test_periodicity_window_validation():
+    for k, start in ((0, 1), (21, 1), (5, -1)):
+        with pytest.raises(ValueError):
+            periodicity_window(T3, k, start)

@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
-from mxplus1 import (Cycle, DensitySeries, T3, count_window, density_series,
-                     find_cycles, to_csv, to_json, to_plot_data)
+from mxplus1 import (Cycle, DensityPoint, DensitySeries, T3, count_window,
+                     density_series, find_cycles, to_csv, to_json, to_plot_data)
 from mxplus1.report import CSV_HEADER, format_float
 
 
@@ -106,3 +107,23 @@ def test_lf_endings_everywhere():
     for text in (to_csv(series), to_json(series), to_plot_data(series)):
         assert "\r" not in text
         assert text.endswith("\n")
+
+
+def test_counts_past_the_int_str_digit_limit():
+    # At k = 15 000 the counts have about 4500 digits, past CPython's
+    # default limit of 4300 on int -> str; they must still serialize.
+    k = 15_000
+    pt = DensityPoint(k=k, N=(1 << k) // 3 + 1, shaded_count=3**9100,
+                      F_new=1 / 3, F_terras=0.5, G=2 / 3)
+    series = DensitySeries(m=3, points=[pt])
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [str(pt.N), str(1 << k), str(pt.shaded_count)]
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert min(map(len, want)) > 4300
+    row = to_csv(series).splitlines()[1].split(",")
+    assert row[:4] == [str(k)] + want
+    rec = json.loads(to_json(series))
+    assert [rec["N"], rec["pow2k"], rec["shaded"]] == want
