@@ -9,30 +9,8 @@ a bit-faithful conversion of huge-integer ratios num / 2**k to floats.
 from __future__ import annotations
 
 import math
-import threading
 
 LESS, EQUAL, GREATER = -1, 0, 1
-
-# Bit lengths of m**i, grown incrementally per multiplier m.  Repeated
-# boundary tests during the column recursion then cost one multiply per
-# new exponent instead of a fresh exponentiation per call.
-_pow_bits: dict[int, list[int]] = {}
-_pow_last: dict[int, int] = {}
-_pow_lock = threading.Lock()
-
-
-def _pow_bit_length(m: int, i: int) -> int:
-    bits = _pow_bits.get(m)
-    if bits is not None and i < len(bits):
-        return bits[i]
-    with _pow_lock:
-        bits = _pow_bits.setdefault(m, [1])
-        p = _pow_last.get(m, 1)
-        while len(bits) <= i:
-            p *= m
-            bits.append(p.bit_length())
-        _pow_last[m] = p
-        return bits[i]
 
 
 def cmp_pow(m: int, i: int, k: int) -> int:
@@ -50,7 +28,14 @@ def cmp_pow(m: int, i: int, k: int) -> int:
         return EQUAL if k == 0 else LESS
     # 2**(B-1) <= m**i < 2**B for B = bit_length(m**i), and the lower
     # bound is strict because m**i is odd, hence never a power of two.
-    return GREATER if _pow_bit_length(m, i) > k else LESS
+    # B lies in ((b-1)*i, b*i] for b = bit_length(m), so m**i itself is
+    # needed only for k inside that range.
+    b = m.bit_length()
+    if k <= (b - 1) * i:
+        return GREATER
+    if k >= b * i:
+        return LESS
+    return GREATER if (m**i).bit_length() > k else LESS
 
 
 def ratio_to_float(num: int, den_exponent: int) -> float:

@@ -27,12 +27,12 @@ reference the tests compare the band against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import add
 from typing import NamedTuple
 
-from .bigmath import GREATER, LESS, cmp_pow, ratio_to_float
+from .bigmath import LESS, cmp_pow, ratio_to_float
 from .trajectory import MapParams
 
 
@@ -49,7 +49,9 @@ class DensityColumn:
     top caps the stored rows; None keeps the whole column.  N is always
     the exact total of the whole column: the sum of the rows when
     uncapped, carried by the doubling identity when capped (the rows
-    above the cap are not stored, but they are not zero).
+    above the cap are not stored, but they are not zero).  _m_pow is
+    m**i_min, carried so that the power test of the next column costs
+    one multiply each time i_min advances.
     """
 
     m: int
@@ -59,6 +61,7 @@ class DensityColumn:
     shaded: ShadedCell | None
     N: int
     top: int | None = None
+    _m_pow: int = field(default=1, repr=False)
 
     def row(self, i: int) -> int:
         """Stored count for row i; zeroed, never-populated and unstored
@@ -133,7 +136,9 @@ def next_column(col: DensityColumn) -> DensityColumn:
     k = col.k + 1
     old = col.rows
     i_min = col.i_min
-    crossed = cmp_pow(m, i_min, k) != GREATER
+    m_pow = col._m_pow
+    # m**i_min < 2**k exactly when its bit length is k at most (it is odd)
+    crossed = m_pow.bit_length() <= k
     if not old:
         if crossed:
             raise ValueError(f"row {i_min} above the band (top={col.top}) "
@@ -148,12 +153,13 @@ def next_column(col: DensityColumn) -> DensityColumn:
             shaded = ShadedCell(row=i_min, count=cand[0])
         cand = cand[1:]
         i_min += 1
+        m_pow *= m
     if col.top is None:
         n = sum(cand)
     else:
         n = 2 * col.N - (shaded.count if shaded else 0)
     return DensityColumn(m=m, k=k, i_min=i_min, rows=tuple(cand),
-                         shaded=shaded, N=n, top=col.top)
+                         shaded=shaded, N=n, top=col.top, _m_pow=m_pow)
 
 
 def _point(col: DensityColumn) -> DensityPoint:

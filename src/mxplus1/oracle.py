@@ -7,11 +7,10 @@ first coefficient drop (m**k2 < 2**j) and the first actual value drop
 (T^(j)(n) < n), and tally.  Counting is chunked; chunks are summed, so
 the result is bit-identical for any chunking or worker count.
 
-Per chunk there are two vectorized paths.  The int64 path is used when
-a conservative bound proves that no intermediate value can overflow
-64-bit arithmetic; otherwise the multi-limb path holds each value in
-several int64 limbs.  A pure big-integer scan stays as the reference
-the tests compare both against.  All three give identical tallies.
+Every chunk runs one vectorized scan that holds each value in int64
+limbs: one limb while a conservative bound keeps every intermediate
+value below 2**62, more past it.  A pure big-integer scan stays as the
+reference the tests compare it against; both give identical tallies.
 
 The same limb stepper computes packed parity codes for the periodicity
 check: parity vectors of length k repeat with period 2**k, and the
@@ -31,7 +30,6 @@ from .trajectory import MapParams
 MAX_ORACLE_K = 26
 MAX_PERIODICITY_K = 20
 _DEFAULT_CHUNK = 1 << 16
-_INT64_HEADROOM = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -70,10 +68,6 @@ def _step_bound(m: int, k: int, stop: int) -> int:
     return m * bound + 1
 
 
-def _int64_safe(m: int, k: int, stop: int) -> bool:
-    return _step_bound(m, k, stop) < _INT64_HEADROOM and m**k < _INT64_HEADROOM
-
-
 def _coefficient_limits(m: int, k: int) -> list[int]:
     """lim[j] = least i with m**i >= 2**j, for j = 0..k, so that the
     coefficient test m**k2 < 2**j reads k2 < lim[j]."""
@@ -88,47 +82,6 @@ def _coefficient_limits(m: int, k: int) -> list[int]:
     return lim
 
 
-def _tally(k: int, fc: np.ndarray, fa: np.ndarray):
-    """gt, ge and agt of a scanned chunk from its first-drop steps, and
-    the mask of starts where the two survival notions differ."""
-    gt = int(np.count_nonzero(fc == 0))
-    ge = gt + int(np.count_nonzero(fc == k))
-    agt = int(np.count_nonzero(fa == 0))
-    return gt, ge, agt, (fc == 0) != (fa == 0)
-
-
-def _scan_fast(m: int, k: int, start: int, stop: int):
-    """Vectorized scan of one chunk, with the same tallies as _scan_exact.
-
-    Only unsettled starts are stepped: a start is settled once both its
-    coefficient drop and its actual drop are found, and from then on it
-    adds to no tally (a coefficient drop before step k counts toward
-    neither gt nor ge).  The live arrays are compacted whenever they
-    have halved, but not after the last step, where a coefficient drop
-    at step k still counts toward ge.  Boolean compaction keeps order,
-    so the mismatches stay increasing.
-    """
-    lim = _coefficient_limits(m, k)
-    n0 = np.arange(start, stop, dtype=np.int64)
-    v = n0.copy()
-    # odd-step counts and first-drop steps (0 = none yet); k <= 26 fits int8
-    k2 = np.zeros(n0.shape, dtype=np.int8)
-    fc = np.zeros(n0.shape, dtype=np.int8)
-    fa = np.zeros(n0.shape, dtype=np.int8)
-    for j in range(1, k + 1):
-        odd = (v & 1).astype(bool)
-        k2 += odd
-        v = np.where(odd, (m * v + 1) >> 1, v >> 1)
-        np.putmask(fc, (fc == 0) & (k2 < lim[j]), j)
-        np.putmask(fa, (fa == 0) & (v < n0), j)
-        if j < k:
-            live = (fc == 0) | (fa == 0)
-            if 2 * np.count_nonzero(live) <= n0.size:
-                n0, v, k2, fc, fa = n0[live], v[live], k2[live], fc[live], fa[live]
-    gt, ge, agt, differ = _tally(k, fc, fa)
-    return gt, ge, agt, n0[differ].tolist()
-
-
 def _limb_width(m: int) -> int:
     # A limb of 62 - bits(m) bits keeps m*limb + carry below 2**63.  Past
     # 31-bit multipliers, m is itself split into 31-bit limbs.
@@ -136,8 +89,14 @@ def _limb_width(m: int) -> int:
 
 
 def _limb_count(m: int, k: int, stop: int, width: int) -> int:
-    # enough limbs for every m*v + 1 within k steps of a start below stop
-    return -(-(_step_bound(m, k, stop) - 1).bit_length() // width)
+    """Limbs enough for every m*v + 1 within k steps of a start below
+    stop: one (the top limb is never masked) while they stay below
+    2**62, otherwise width-bit limbs.  A multiplier of more than 31 bits
+    never gets one limb, since the bound exceeds m**2."""
+    bound = _step_bound(m, k, stop)
+    if bound < 1 << 62:
+        return 1
+    return -(-(bound - 1).bit_length() // width)
 
 
 def _int_limbs(n: int, width: int) -> list[int]:
@@ -147,14 +106,16 @@ def _int_limbs(n: int, width: int) -> list[int]:
 
 def _range_limbs(start: int, size: int, count: int, width: int) -> list[np.ndarray]:
     """start, start+1, ..., start+size-1 as `count` int64 limbs of
-    `width` bits each, least significant first."""
+    `width` bits each, least significant first; the top limb holds all
+    the remaining high bits."""
     mask = (1 << width) - 1
     limbs = []
     carry = np.arange(size, dtype=np.int64)
-    for i in range(count):
+    for i in range(count - 1):
         limb = carry + ((start >> (width * i)) & mask)
         carry = limb >> width
         limbs.append(limb & mask)
+    limbs.append(carry + (start >> (width * (count - 1))))
     return limbs
 
 
@@ -209,18 +170,27 @@ def _limbs_less(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
 
 
 def _scan_limbs(m: int, k: int, start: int, stop: int):
-    """_scan_fast for chunks past the int64 bound, on multi-limb values.
+    """Vectorized scan of one chunk, with the same tallies as _scan_exact.
 
-    Every value is a list of int64 limbs of _limb_width(m) bits, least
-    significant first.  The limb count comes from the bound that
-    _int64_safe tests, so m*v + 1 always fits.  The coefficient test,
-    settling, compaction and the result are _scan_fast's.
+    Every value is a list of int64 limbs, least significant first: one
+    limb while _limb_count's bound stays below 2**62, otherwise limbs
+    of _limb_width(m) bits, so m*v + 1 always fits.  The coefficient
+    drop is the test k2 < lim[j].
+
+    Only unsettled starts are stepped: a start is settled once both its
+    coefficient drop and its actual drop are found, and from then on it
+    adds to no tally (a coefficient drop before step k counts toward
+    neither gt nor ge).  The live arrays are compacted whenever they
+    have halved, but not after the last step, where a coefficient drop
+    at step k still counts toward ge.  Boolean compaction keeps order,
+    so the mismatches stay increasing.
     """
     lim = _coefficient_limits(m, k)
     width = _limb_width(m)
     m_limbs = _int_limbs(m, width)
     n0 = _range_limbs(start, stop - start, _limb_count(m, k, stop, width), width)
     v = [limb.copy() for limb in n0]
+    # odd-step counts and first-drop steps (0 = none yet); k <= 26 fits int8
     k2 = np.zeros(stop - start, dtype=np.int8)
     fc = np.zeros_like(k2)
     fa = np.zeros_like(k2)
@@ -236,15 +206,18 @@ def _scan_limbs(m: int, k: int, start: int, stop: int):
                 n0 = [limb[live] for limb in n0]
                 v = [limb[live] for limb in v]
                 k2, fc, fa = k2[live], fc[live], fa[live]
-    gt, ge, agt, differ = _tally(k, fc, fa)
+    gt = int(np.count_nonzero(fc == 0))
+    ge = gt + int(np.count_nonzero(fc == k))
+    agt = int(np.count_nonzero(fa == 0))
+    differ = (fc == 0) != (fa == 0)
     return gt, ge, agt, _limbs_to_ints([limb[differ] for limb in n0], width)
 
 
 def _scan_exact(m: int, k: int, start: int, stop: int):
     """Pure-integer reference scan; exact for any m, k, offset.
 
-    Production never calls it: _scan_chunk runs _scan_fast or
-    _scan_limbs.  The tests compare both against it.
+    Production never calls it: _scan_chunk runs _scan_limbs.  The tests
+    compare the two.
     """
     gt = ge = agt = 0
     mismatches = []
@@ -318,9 +291,7 @@ def periodicity_window(p: MapParams, k: int, start: int) -> tuple[int, bool]:
 
 
 def _scan_chunk(args: tuple[int, int, int, int]):
-    m, k, start, stop = args
-    scan = _scan_fast if _int64_safe(m, k, stop) else _scan_limbs
-    return scan(m, k, start, stop)
+    return _scan_limbs(*args)
 
 
 def _chunks(offset: int, width: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -334,7 +305,11 @@ def _chunks(offset: int, width: int, chunk_size: int) -> list[tuple[int, int]]:
     return spans
 
 
-def _validate(k: int, offset: int, jobs: int, chunk_size: int) -> None:
+def _scan_window(p: MapParams, k: int, offset: int, jobs: int,
+                 chunk_size: int) -> tuple[int, int, int, list[int]]:
+    """Validate, scan [offset, offset + 2**k) chunk by chunk and sum the
+    chunks' (gt, ge, agt, mismatches); chunks come back in order, so
+    the mismatches stay increasing."""
     if k < 1:
         raise ValueError("k must be positive")
     if k > MAX_ORACLE_K:
@@ -345,15 +320,20 @@ def _validate(k: int, offset: int, jobs: int, chunk_size: int) -> None:
         raise ValueError("jobs must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-
-
-def _run_scans(p: MapParams, k: int, offset: int, jobs: int, chunk_size: int):
-    spans = _chunks(offset, 1 << k, chunk_size)
-    tasks = [(p.m, k, start, stop) for start, stop in spans]
+    tasks = [(p.m, k, start, stop) for start, stop in _chunks(offset, 1 << k, chunk_size)]
     if jobs == 1 or len(tasks) == 1:
-        return [_scan_chunk(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_scan_chunk, tasks))
+        results = map(_scan_chunk, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_scan_chunk, tasks))
+    gt = ge = agt = 0
+    mismatches: list[int] = []
+    for c_gt, c_ge, c_agt, c_mismatches in results:
+        gt += c_gt
+        ge += c_ge
+        agt += c_agt
+        mismatches += c_mismatches
+    return gt, ge, agt, mismatches
 
 
 def count_window(p: MapParams, k: int, offset: int = 1, *, jobs: int = 1,
@@ -364,11 +344,7 @@ def count_window(p: MapParams, k: int, offset: int = 1, *, jobs: int = 1,
     counts because a window of width 2**k meets every residue class
     mod 2**k exactly once.
     """
-    _validate(k, offset, jobs, chunk_size)
-    results = _run_scans(p, k, offset, jobs, chunk_size)
-    gt = sum(r[0] for r in results)
-    ge = sum(r[1] for r in results)
-    agt = sum(r[2] for r in results)
+    gt, ge, agt, _ = _scan_window(p, k, offset, jobs, chunk_size)
     table_n = density_series(p, k, k).points[-1].N
     return OracleReport(m=p.m, k=k, offset=offset, table_N=table_n,
                         count_coefficient_gt=gt, count_coefficient_ge=ge,
@@ -382,9 +358,4 @@ def discrepancy_scan(p: MapParams, k: int, offset: int = 1, *, jobs: int = 1,
     in increasing order.  A coefficient drop is necessary for an actual
     drop, so each listed n survives k steps in value while its slope
     has already dipped below 1."""
-    _validate(k, offset, jobs, chunk_size)
-    results = _run_scans(p, k, offset, jobs, chunk_size)
-    out: list[int] = []
-    for r in results:
-        out.extend(r[3])
-    return out
+    return _scan_window(p, k, offset, jobs, chunk_size)[3]

@@ -112,14 +112,6 @@ class StoppingTimeResult:
     def found(self) -> bool:
         return self.k is not None
 
-    @classmethod
-    def found_at(cls, k: int, cap: int) -> "StoppingTimeResult":
-        return cls(k, cap)
-
-    @classmethod
-    def exceeded(cls, cap: int) -> "StoppingTimeResult":
-        return cls(None, cap)
-
     def __str__(self) -> str:
         return f"k={self.k}" if self.found else f"exceeded cap {self.cap}"
 
@@ -200,8 +192,8 @@ def stopping_time_actual(p: MapParams, n: int, cap: int) -> StoppingTimeResult:
     for j in range(1, cap + 1):
         v = step(p, v)
         if v < n:
-            return StoppingTimeResult.found_at(j, cap)
-    return StoppingTimeResult.exceeded(cap)
+            return StoppingTimeResult(j, cap)
+    return StoppingTimeResult(None, cap)
 
 
 def stopping_time_coefficient(p: MapParams, n: int, cap: int) -> StoppingTimeResult:
@@ -227,5 +219,5 @@ def stopping_time_coefficient(p: MapParams, n: int, cap: int) -> StoppingTimeRes
             v //= 2
         b <<= 1
         if a < b:
-            return StoppingTimeResult.found_at(j, cap)
-    return StoppingTimeResult.exceeded(cap)
+            return StoppingTimeResult(j, cap)
+    return StoppingTimeResult(None, cap)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from mxplus1 import (LESS, T3, T5, MapParams, cmp_pow, count_window,
                      discrepancy_scan, periodicity_window)
 from mxplus1 import oracle
-from mxplus1.oracle import (_coefficient_limits, _int64_safe, _limb_count,
-                            _limb_width, _parity_codes, _scan_chunk, _scan_exact)
+from mxplus1.oracle import (_coefficient_limits, _limb_count, _limb_width,
+                            _parity_codes, _scan_chunk, _scan_exact, _step_bound)
 from mxplus1.trajectory import _parity_code
 
 
@@ -77,27 +77,59 @@ def test_jobs_bit_identical():
         discrepancy_scan(T3, 12, jobs=1, chunk_size=512)
 
 
+def _first_stop_on_limbs(m: int, k: int, count: int) -> int:
+    """Least stop whose chunks run on at least `count` limbs."""
+    width = _limb_width(m)
+    lo, hi = 0, 1 << (width * count + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _limb_count(m, k, mid, width) >= count else (mid, hi)
+    return hi
+
+
 @pytest.mark.parametrize("m", [3, 5])
 @pytest.mark.parametrize("offset", [1, 7])
 def test_fast_path_matches_exact_path(m, offset):
+    # A window from the offset, and windows ending `offset` below and
+    # above the one-limb/two-limb bound (the int64 bound).
+    width = _limb_width(m)
     for k in range(1, 11):
-        fast = _scan_chunk((m, k, offset, offset + (1 << k)))
-        exact = _scan_exact(m, k, offset, offset + (1 << k))
-        assert fast[:3] == exact[:3]
-        assert list(fast[3]) == list(exact[3])
+        bound = _first_stop_on_limbs(m, k, 2)
+        for stop, limbs in ((offset + (1 << k), 1), (bound - offset, 1),
+                            (bound + offset, 2)):
+            start = stop - (1 << k)
+            assert _limb_count(m, k, stop, width) == limbs
+            fast = _scan_chunk((m, k, start, stop))
+            exact = _scan_exact(m, k, start, stop)
+            assert fast[:3] == exact[:3]
+            assert list(fast[3]) == list(exact[3])
 
 
 @given(m=st.sampled_from([3, 5, 7, 9]),
        k=st.integers(min_value=1, max_value=14),
        start=st.integers(min_value=1, max_value=1 << 24),
-       size=st.sampled_from([1, 7, 37]) | st.integers(min_value=1, max_value=1 << 14))
+       size=st.sampled_from([1, 7, 37]) | st.integers(min_value=1, max_value=1 << 14),
+       near=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_fast_chunk_equals_exact_chunk(m, k, start, size):
+def test_fast_chunk_equals_exact_chunk(m, k, start, size, near):
     # Sizes 1, 7 and 37 leave the live arrays at odd lengths, so the
-    # halving test fires at uneven points of the scan.
+    # halving test fires at uneven points of the scan.  A near chunk
+    # ends at most 4 below the one-limb bound, where values approach
+    # 2**62 and a one-limb value is wider than _limb_width(m).
+    if near:
+        start = _first_stop_on_limbs(m, k, 2) - 1 - start % 4 - size
     stop = start + size
-    assert _int64_safe(m, k, stop)  # the vectorized path is the one tested
+    assert _limb_count(m, k, stop, _limb_width(m)) == 1  # one int64 per value
     assert _scan_chunk((m, k, start, stop)) == _scan_exact(m, k, start, stop)
+
+
+def test_one_limb_while_the_step_bound_fits():
+    # 7**23 exceeds 2**62, but the values of starts up to 2**16 stay
+    # below 2**61, so one limb holds them.
+    assert _step_bound(7, 23, 2**16 + 1) < 2**61
+    assert _limb_count(7, 23, 2**16 + 1, _limb_width(7)) == 1
+    start = 2**16 - 255
+    assert _scan_chunk((7, 23, start, 2**16 + 1)) == _scan_exact(7, 23, start, 2**16 + 1)
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
@@ -109,26 +141,15 @@ def test_coefficient_limits_against_cmp_pow(m):
         assert i == 0 or cmp_pow(m, i - 1, j) == LESS  # ... and i is the least
 
 
-def _first_unsafe_stop(m: int, k: int) -> int:
-    if not _int64_safe(m, k, 1):
-        return 1
-    lo, hi = 1, 1 << 62  # _int64_safe holds at lo and fails at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _int64_safe(m, k, mid) else (lo, mid)
-    return hi
-
-
 @pytest.mark.parametrize("m,k", [(3, 10), (5, 10), (7, 8)])
 def test_window_across_int64_bound(m, k):
     # The first chunks of this window end below the int64 bound and run
-    # on one int64 per value, the later ones end above it and run on
-    # multi-limb values; the tallies must be the exact scan's and the
-    # near window's.
+    # on one limb per value, the later ones end above it and run on two;
+    # the tallies must be the exact scan's and the near window's.
     chunk = 1 << (k - 3)
-    offset = _first_unsafe_stop(m, k) - (1 << (k - 1))
-    assert _int64_safe(m, k, offset + chunk)
-    assert not _int64_safe(m, k, offset + (1 << k))
+    offset = _first_stop_on_limbs(m, k, 2) - (1 << (k - 1))
+    assert _limb_count(m, k, offset + chunk, _limb_width(m)) == 1
+    assert _limb_count(m, k, offset + (1 << k), _limb_width(m)) == 2
     p = MapParams(m)
     far = count_window(p, k, offset, chunk_size=chunk)
     gt, ge, agt, mism = _scan_exact(m, k, offset, offset + (1 << k))
@@ -147,11 +168,12 @@ def test_window_across_int64_bound(m, k):
        size=st.sampled_from([1, 7, 37]) | st.integers(min_value=1, max_value=1 << 12))
 @settings(max_examples=200, deadline=None)
 def test_limb_chunk_equals_exact_chunk(m, k, shift, size):
-    # Every chunk ends past the int64 bound, from just past it to 2**100
-    # beyond; 2**40+1 and 2**70+1 are split into limbs themselves.
-    start = max(1, _first_unsafe_stop(m, k) - size) + shift
+    # Every chunk ends past the int64 bound (on two limbs or more), from
+    # just past it to 2**100 beyond; 2**40+1 and 2**70+1 are split into
+    # limbs themselves.
+    start = max(1, _first_stop_on_limbs(m, k, 2) - size) + shift
     stop = start + size
-    assert not _int64_safe(m, k, stop)
+    assert _limb_count(m, k, stop, _limb_width(m)) >= 2
     want = _scan_exact(m, k, start, stop)
     with mock.patch.object(oracle, "_scan_exact", side_effect=AssertionError):
         assert _scan_chunk((m, k, start, stop)) == want
@@ -207,16 +229,6 @@ def test_validation():
 def test_generalizes_to_other_multipliers():
     rep = count_window(MapParams(7), 8)
     assert rep.matches_table
-
-
-def _first_stop_on_limbs(m: int, k: int, count: int) -> int:
-    """Least stop whose chunks run on at least `count` limbs."""
-    width = _limb_width(m)
-    lo, hi = 0, 1 << (width * count + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _limb_count(m, k, mid, width) >= count else (mid, hi)
-    return hi
 
 
 @given(m=st.sampled_from([3, 5, 7, 2**40 + 1]),
