@@ -1,14 +1,13 @@
 """Arbitrary-precision numeric foundations.
 
 Counts live in plain Python ints, which are already unbounded, so this
-module only adds the two operations the table recursion needs beyond
-ordinary integer arithmetic: an exact ordering of m**i against 2**k, and
-a bit-faithful conversion of huge-integer ratios num / 2**k to floats.
+module only adds what the table and the oracle need beyond ordinary
+integer arithmetic: an exact ordering of m**i against 2**k, the table of
+power thresholds that turns m**i < 2**j into an index test, and the
+conversion of huge-integer ratios num / 2**k to floats.
 """
 
 from __future__ import annotations
-
-import math
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -38,27 +37,30 @@ def cmp_pow(m: int, i: int, k: int) -> int:
     return GREATER if (m**i).bit_length() > k else LESS
 
 
+def _coefficient_limits(m: int, k: int) -> list[int]:
+    """lim[j] = least i with m**i >= 2**j, for j = 0..k, so that the
+    coefficient test m**k2 < 2**j reads k2 < lim[j]."""
+    lim = []
+    i = 0
+    power = 1
+    for j in range(k + 1):
+        while power < 1 << j:
+            power *= m
+            i += 1
+        lim.append(i)
+    return lim
+
+
 def ratio_to_float(num: int, den_exponent: int) -> float:
     """Round num / 2**den_exponent to the nearest double.
 
-    Only the top 64 bits of num are fed to the float conversion, with a
-    sticky bit folded into the lowest of them, so the result is the
-    round-to-nearest-even double of the exact ratio no matter how wide
-    num is, and is identical on every platform.  Values below the
-    subnormal range underflow to 0.0 (and deep subnormal results may be
-    off by one unit in the last place from double rounding; the ratios
-    this artifact produces never get near that range).
+    Int true division rounds the exact ratio once, to nearest-even, at
+    any width of num and into the subnormal range; results below it
+    underflow to 0.0, and results too large for a double raise
+    OverflowError.
     """
     if num < 0:
         raise ValueError("num must be non-negative")
     if den_exponent < 0:
         raise ValueError("den_exponent must be non-negative")
-    if num == 0:
-        return 0.0
-    excess = num.bit_length() - 64
-    if excess <= 0:
-        return math.ldexp(num, -den_exponent)
-    top = num >> excess
-    if num & ((1 << excess) - 1):
-        top |= 1
-    return math.ldexp(top, excess - den_exponent)
+    return num / (1 << den_exponent)

@@ -34,10 +34,6 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _map_params(args) -> MapParams:
-    return MapParams(args.m)
-
-
 def _density_table(series, variant: str) -> str:
     cols = {"both": ("Terras", "new"), "terras": ("Terras",), "new": ("new",)}[variant]
     lines = ["  ".join(["k".rjust(6)] + [c.rjust(14) for c in cols])]
@@ -55,7 +51,7 @@ def _cmd_density(args) -> int:
         return _usage_error(f"--k-max exceeds the practical bound ({MAX_SERIES_K})")
     if args.every < 1:
         return _usage_error("--every must be positive")
-    series = density_series(_map_params(args), args.k_max, args.every)
+    series = density_series(MapParams(args.m), args.k_max, args.every)
     if args.format == "csv":
         text = report.to_csv(series)
     elif args.format == "json":
@@ -75,7 +71,7 @@ def _cmd_oracle(args) -> int:
         return _usage_error("--offset must be >= 1")
     if args.jobs < 1:
         return _usage_error("--jobs must be >= 1")
-    rep = count_window(_map_params(args), args.k, args.offset, jobs=args.jobs)
+    rep = count_window(MapParams(args.m), args.k, args.offset, jobs=args.jobs)
     if args.format == "json":
         text = report.to_json([rep])
     else:
@@ -95,7 +91,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_trajectory(args) -> int:
     if args.steps < 0:
         return _usage_error("--steps must be non-negative")
-    traj = iterate(_map_params(args), args.n, args.steps)
+    traj = iterate(MapParams(args.m), args.n, args.steps)
     _write(" ".join(str(v) for v in traj.values) + "\n", args.out)
     return 0
 
@@ -105,7 +101,7 @@ def _cmd_stopping(args) -> int:
         return _usage_error("--n must be >= 1 for stopping times")
     if args.cap < 1:
         return _usage_error("--cap must be positive")
-    p = _map_params(args)
+    p = MapParams(args.m)
     actual = stopping_time_actual(p, args.n, args.cap)
     coeff = stopping_time_coefficient(p, args.n, args.cap)
     _write(f"actual: {actual}\ncoefficient: {coeff}\n", args.out)
@@ -115,7 +111,7 @@ def _cmd_stopping(args) -> int:
 def _cmd_vector(args) -> int:
     if args.k < 1:
         return _usage_error("--k must be positive")
-    p = _map_params(args)
+    p = MapParams(args.m)
     w = parity_vector(p, args.n, args.k)
     eq = equation_of_vector(p, w)
     r = residue_of_vector(p, w)
@@ -134,7 +130,7 @@ def _cmd_vector(args) -> int:
 def _cmd_cycles(args) -> int:
     if not 1 <= args.k_max <= MAX_CYCLE_SEARCH_K:
         return _usage_error(f"--k-max must be in 1..{MAX_CYCLE_SEARCH_K}")
-    cycles = find_cycles(_map_params(args), args.k_max)
+    cycles = find_cycles(MapParams(args.m), args.k_max)
     if args.format == "json":
         text = report.to_json(cycles, m=args.m)
     else:
@@ -148,7 +144,7 @@ def _cmd_verify_periodicity(args) -> int:
         return _usage_error(f"--k must be in 1..{MAX_PERIODICITY_K}")
     if args.start < 0:
         return _usage_error("--start must be non-negative")
-    distinct, repeats_ok = periodicity_window(_map_params(args), args.k, args.start)
+    distinct, repeats_ok = periodicity_window(MapParams(args.m), args.k, args.start)
     width = 1 << args.k
     distinct_ok = distinct == width
     text = (

@@ -26,13 +26,12 @@ reference the tests compare the band against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import add
 from typing import NamedTuple
 
-from .bigmath import LESS, cmp_pow, ratio_to_float
+from .bigmath import _coefficient_limits, ratio_to_float
 from .trajectory import MapParams
 
 
@@ -169,18 +168,6 @@ def _point(col: DensityColumn) -> DensityPoint:
                         F_new=f_new, F_terras=f_terras, G=1.0 - f_new)
 
 
-def _band_top(m: int, k_max: int) -> int:
-    """The last row any column k <= k_max can shade: the largest i with
-    m**i < 2**k_max, or 0 when there is none (k_max = 0)."""
-    # The answer is ceil(k_max / log2(m)) - 1.  The float quotient is far
-    # closer than 1 to the exact one, so one row below its floor never
-    # overshoots and leaves the exact search at most two steps.
-    i = max(0, int(k_max / math.log2(m)) - 1)
-    while cmp_pow(m, i + 1, k_max) == LESS:
-        i += 1
-    return i
-
-
 def density_series(p: MapParams, k_max: int, stride: int = 1) -> DensitySeries:
     """Run the recursion to k_max, emitting a point at every multiple of
     stride and at k_max itself (k = 0 is always emitted).  Only the band
@@ -191,7 +178,10 @@ def density_series(p: MapParams, k_max: int, stride: int = 1) -> DensitySeries:
         raise ValueError(f"k_max={k_max} exceeds the practical bound {MAX_SERIES_K}")
     if stride < 1:
         raise ValueError("stride must be positive")
-    col = replace(initial_column(p), top=_band_top(p.m, k_max))
+    # the last row a column k <= k_max can shade: the largest i with
+    # m**i < 2**k_max, or 0 when there is none (k_max = 0)
+    top = max(_coefficient_limits(p.m, k_max)[k_max] - 1, 0)
+    col = replace(initial_column(p), top=top)
     points = [_point(col)]
     for k in range(1, k_max + 1):
         col = next_column(col)

@@ -160,6 +160,25 @@ def _close_cycle(p: MapParams, x: int, k_max: int) -> tuple[int, ...]:
     return _canonical_rotation(values)
 
 
+def _expand(m: int, pow_m: list[int], groups: list[list[int]], k2: int,
+            depth: int, stop: int, candidates: set[int]) -> list[list[int]]:
+    """Expand the parity-vector tree from `depth` to `stop`, one level at
+    a time, and return the last level.
+
+    groups[i] holds the offset numerators c of the nodes with k2 + i odd
+    steps; a node at depth j has slope a = m**(k2 + i) over b = 2**j,
+    and each integral fixed point c / (b - a) is added to candidates.
+    """
+    for j in range(depth + 1, stop + 1):
+        pw = 1 << (j - 1)
+        raised = [[m * x + pw for x in cs] for cs in groups]
+        groups = [even + odd for even, odd in zip(groups + [[]], [[]] + raised)]
+        for i, cs in enumerate(groups):
+            d = (1 << j) - pow_m[k2 + i]  # even minus odd, never 0
+            candidates.update(x // d for x in cs if x % d == 0)
+    return groups
+
+
 def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
     """All cycles whose parity vector has length at most k_max.
 
@@ -179,29 +198,12 @@ def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
     m = p.m
     pow_m = [m**q for q in range(k_max + 1)]
     candidates: set[int] = set()
-    # Node by node down to `top`, then each subtree below it level by
-    # level, as lists of c grouped by k2; a subtree's widest level holds
-    # 2**_SUBTREE_DEPTH values.
+    # The tree is expanded level by level once from the root to `top`,
+    # then once from each node at that depth down to k_max, so no level
+    # holds more than 2**max(top, _SUBTREE_DEPTH) values.
     top = max(k_max - _SUBTREE_DEPTH, 0)
-    stack: list[tuple[int, int, int]] = [(0, 0, 0)]  # (k2, c, depth)
-    while stack:
-        k2, c, depth = stack.pop()
-        if depth:
-            d = (1 << depth) - pow_m[k2]
-            if d and c % d == 0:
-                candidates.add(c // d)
-        if depth < top:
-            pw = 1 << depth
-            stack.append((k2, c, depth + 1))
-            stack.append((k2 + 1, m * c + pw, depth + 1))
-            continue
-        groups = [[c]]  # groups[i]: the c of the nodes with k2 + i odd steps
-        for j in range(depth + 1, k_max + 1):
-            pw = 1 << (j - 1)
-            raised = [[m * x + pw for x in cs] for cs in groups]
-            groups = [even + odd for even, odd in zip(groups + [[]], [[]] + raised)]
-            for i, cs in enumerate(groups):
-                d = (1 << j) - pow_m[k2 + i]  # even minus odd, never 0
-                candidates.update(x // d for x in cs if x % d == 0)
+    for k2, cs in enumerate(_expand(m, pow_m, [[0]], 0, 0, top, candidates)):
+        for c in cs:
+            _expand(m, pow_m, [[c]], k2, top, k_max, candidates)
     canon = {_close_cycle(p, x, k_max) for x in candidates}
     return [Cycle(v) for v in sorted(canon, key=lambda v: (len(v), v[0]))]

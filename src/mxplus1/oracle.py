@@ -19,11 +19,13 @@ check: parity vectors of length k repeat with period 2**k, and the
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bigmath import _coefficient_limits
 from .density import density_series
 from .trajectory import MapParams
 
@@ -66,20 +68,6 @@ def _step_bound(m: int, k: int, stop: int) -> int:
     # (stop+1) * (m/2)**k; the step computes m*v + 1 before halving.
     bound = ((stop + 1) * m**k >> k) + 1
     return m * bound + 1
-
-
-def _coefficient_limits(m: int, k: int) -> list[int]:
-    """lim[j] = least i with m**i >= 2**j, for j = 0..k, so that the
-    coefficient test m**k2 < 2**j reads k2 < lim[j]."""
-    lim = []
-    i = 0
-    power = 1
-    for j in range(k + 1):
-        while power < 1 << j:
-            power *= m
-            i += 1
-        lim.append(i)
-    return lim
 
 
 def _limb_width(m: int) -> int:
@@ -282,27 +270,18 @@ def periodicity_window(p: MapParams, k: int, start: int) -> tuple[int, bool]:
     width = 1 << k
     seen = np.zeros(width, dtype=bool)
     repeats_ok = True
-    for lo, hi in _chunks(start, width, _DEFAULT_CHUNK):
-        codes = _parity_codes(p.m, k, lo, hi - lo)
+    end = start + width
+    for lo in range(start, end, _DEFAULT_CHUNK):
+        size = min(lo + _DEFAULT_CHUNK, end) - lo
+        codes = _parity_codes(p.m, k, lo, size)
         seen[codes] = True
         repeats_ok = repeats_ok and np.array_equal(
-            codes, _parity_codes(p.m, k, lo + width, hi - lo))
+            codes, _parity_codes(p.m, k, lo + width, size))
     return int(np.count_nonzero(seen)), repeats_ok
 
 
 def _scan_chunk(args: tuple[int, int, int, int]):
     return _scan_limbs(*args)
-
-
-def _chunks(offset: int, width: int, chunk_size: int) -> list[tuple[int, int]]:
-    spans = []
-    start = offset
-    end = offset + width
-    while start < end:
-        stop = min(start + chunk_size, end)
-        spans.append((start, stop))
-        start = stop
-    return spans
 
 
 def _scan_window(p: MapParams, k: int, offset: int, jobs: int,
@@ -320,11 +299,15 @@ def _scan_window(p: MapParams, k: int, offset: int, jobs: int,
         raise ValueError("jobs must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    tasks = [(p.m, k, start, stop) for start, stop in _chunks(offset, 1 << k, chunk_size)]
-    if jobs == 1 or len(tasks) == 1:
+    end = offset + (1 << k)
+    tasks = [(p.m, k, start, min(start + chunk_size, end))
+             for start in range(offset, end, chunk_size)]
+    # no more workers than chunks or cores: a pool starts all of them
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         results = map(_scan_chunk, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunk, tasks))
     gt = ge = agt = 0
     mismatches: list[int] = []

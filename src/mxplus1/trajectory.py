@@ -207,16 +207,13 @@ def stopping_time_coefficient(p: MapParams, n: int, cap: int) -> StoppingTimeRes
         raise ValueError("coefficient stopping time is defined for n >= 1")
     if cap < 1:
         raise ValueError("cap must be positive")
-    m = p.m
     v = n
     a = 1
     b = 1
     for j in range(1, cap + 1):
         if v % 2:
-            a *= m
-            v = (m * v + 1) // 2
-        else:
-            v //= 2
+            a *= p.m
+        v = step(p, v)
         b <<= 1
         if a < b:
             return StoppingTimeResult(j, cap)

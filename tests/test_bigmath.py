@@ -65,10 +65,14 @@ def test_ratio_wide_numerator_golden():
     # A numerator needing real rounding: compare against Fraction.
     num = 3**333
     assert ratio_to_float(num, 600) == float(Fraction(num, 2**600))
+    # A subnormal result, where rounding the top 64 bits first and then
+    # the subnormal mantissa would round twice.
+    num = 21872916066145230690
+    assert ratio_to_float(num, 1088) == float(Fraction(num, 2**1088))
 
 
 @given(num=st.integers(min_value=0, max_value=10**120),
-       k=st.integers(min_value=0, max_value=500))
+       k=st.integers(min_value=0, max_value=1500))
 @settings(max_examples=300, deadline=None)
 def test_ratio_matches_correctly_rounded_division(num, k):
     assert ratio_to_float(num, k) == float(Fraction(num, 2**k))

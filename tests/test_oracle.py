@@ -77,6 +77,43 @@ def test_jobs_bit_identical():
         discrepancy_scan(T3, 12, jobs=1, chunk_size=512)
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps
+    in-process, so no worker is ever started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 64, None])
+def test_worker_count_capped(monkeypatch, cpus):
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    seq = count_window(T3, 12, jobs=1, chunk_size=512)
+    # 8 chunks: the pool gets no more workers than chunks or cores
+    assert count_window(T3, 12, jobs=5000, chunk_size=512) == seq
+    assert discrepancy_scan(T3, 12, jobs=3, chunk_size=512) == \
+        discrepancy_scan(T3, 12, jobs=1, chunk_size=512)
+    cores = cpus or 1
+    expected = [n for n in (min(8, cores), min(3, cores)) if n > 1]
+    assert _RecordingPool.sizes == expected
+    # a one-chunk window never starts a pool
+    count_window(T3, 12, jobs=5000, chunk_size=1 << 12)
+    assert _RecordingPool.sizes == expected
+
+
 def _first_stop_on_limbs(m: int, k: int, count: int) -> int:
     """Least stop whose chunks run on at least `count` limbs."""
     width = _limb_width(m)
