@@ -14,8 +14,6 @@ from .diophantine import (Classification, Cycle, DiophantineEq,
                           DiophantineSolution, classify, cycle_candidate,
                           equation_of_vector, find_cycles, residue_of_vector,
                           solve)
-from .oracle import (OracleReport, count_window, discrepancy_scan,
-                     periodicity_window)
 from .report import to_csv, to_json, to_plot_data
 from .trajectory import (AffineForm, MapParams, ParityVector,
                          StoppingTimeResult, T3, T5, Trajectory,
@@ -23,6 +21,14 @@ from .trajectory import (AffineForm, MapParams, ParityVector,
                          stopping_time_actual, stopping_time_coefficient)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the oracle loads numpy; the table, cycles and trajectories never need it
+    if name in ("OracleReport", "count_window", "discrepancy_scan", "periodicity_window"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AffineForm", "Classification", "Cycle", "DensityColumn", "DensityPoint",

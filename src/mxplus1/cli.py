@@ -10,38 +10,31 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable
 
 from . import report
-from .density import MAX_SERIES_K, density_series
+from .density import MAX_SERIES_K, _points
 from .diophantine import (MAX_CYCLE_SEARCH_K, classify, equation_of_vector,
                           find_cycles, residue_of_vector)
-from .oracle import (MAX_ORACLE_K, MAX_PERIODICITY_K, count_window,
-                     discrepancy_scan, periodicity_window)
 from .trajectory import (MapParams, iterate, parity_vector, stopping_time_actual,
                          stopping_time_coefficient)
 
 
 def _write(text: str, out: str | None) -> None:
+    _write_lines((text,), out)
+
+
+def _write_lines(lines: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
-
-
-def _density_table(series, variant: str) -> str:
-    cols = {"both": ("Terras", "new"), "terras": ("Terras",), "new": ("new",)}[variant]
-    lines = ["  ".join(["k".rjust(6)] + [c.rjust(14) for c in cols])]
-    for pt in series.points:
-        vals = {"Terras": pt.F_terras, "new": pt.F_new}
-        row = [str(pt.k).rjust(6)] + [f"{vals[c]:.8g}".rjust(14) for c in cols]
-        lines.append("  ".join(row))
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_density(args) -> int:
@@ -51,20 +44,23 @@ def _cmd_density(args) -> int:
         return _usage_error(f"--k-max exceeds the practical bound ({MAX_SERIES_K})")
     if args.every < 1:
         return _usage_error("--every must be positive")
-    series = density_series(MapParams(args.m), args.k_max, args.every)
+    # built (and so validated) before the sink opens: a usage error
+    # writes nothing, and each line goes out as its column is computed
+    points = _points(MapParams(args.m), args.k_max, args.every)
     if args.format == "csv":
-        text = report.to_csv(series)
+        lines = report._csv_lines(points)
     elif args.format == "json":
-        text = report.to_json(series, variant=args.variant)
+        lines = report._json_lines(points, args.m, args.variant)
     elif args.format == "plot":
-        text = report.to_plot_data(series)
+        lines = report._plot_lines(args.m, points)
     else:
-        text = _density_table(series, args.variant)
-    _write(text, args.out)
+        lines = report._table_lines(points, args.variant)
+    _write_lines(lines, args.out)
     return 0
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import MAX_ORACLE_K, count_window  # numpy: only the scans load it
     if not 1 <= args.k <= MAX_ORACLE_K:
         return _usage_error(f"--k must be in 1..{MAX_ORACLE_K} (brute-force budget)")
     if args.offset < 1:
@@ -140,6 +136,7 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_verify_periodicity(args) -> int:
+    from .oracle import MAX_PERIODICITY_K, periodicity_window
     if not 1 <= args.k <= MAX_PERIODICITY_K:
         return _usage_error(f"--k must be in 1..{MAX_PERIODICITY_K}")
     if args.start < 0:

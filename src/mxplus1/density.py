@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import add
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .bigmath import _coefficient_limits, ratio_to_float
 from .trajectory import MapParams
@@ -168,10 +168,11 @@ def _point(col: DensityColumn) -> DensityPoint:
                         F_new=f_new, F_terras=f_terras, G=1.0 - f_new)
 
 
-def density_series(p: MapParams, k_max: int, stride: int = 1) -> DensitySeries:
-    """Run the recursion to k_max, emitting a point at every multiple of
-    stride and at k_max itself (k = 0 is always emitted).  Only the band
-    of rows up to the last one shadeable by k_max is computed."""
+def _points(p: MapParams, k_max: int, stride: int = 1) -> Iterator[DensityPoint]:
+    """The points of density_series(p, k_max, stride), one at a time:
+    each column is computed when the next point is asked for, so a
+    caller that writes points as they come holds one column.  The
+    arguments are checked on the call, before the first point."""
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     if k_max > MAX_SERIES_K:
@@ -181,13 +182,22 @@ def density_series(p: MapParams, k_max: int, stride: int = 1) -> DensitySeries:
     # the last row a column k <= k_max can shade: the largest i with
     # m**i < 2**k_max, or 0 when there is none (k_max = 0)
     top = max(_coefficient_limits(p.m, k_max)[k_max] - 1, 0)
-    col = replace(initial_column(p), top=top)
-    points = [_point(col)]
-    for k in range(1, k_max + 1):
-        col = next_column(col)
-        if k % stride == 0 or k == k_max:
-            points.append(_point(col))
-    return DensitySeries(m=p.m, points=points)
+
+    def walk(col: DensityColumn) -> Iterator[DensityPoint]:
+        yield _point(col)
+        for k in range(1, k_max + 1):
+            col = next_column(col)
+            if k % stride == 0 or k == k_max:
+                yield _point(col)
+
+    return walk(replace(initial_column(p), top=top))
+
+
+def density_series(p: MapParams, k_max: int, stride: int = 1) -> DensitySeries:
+    """Run the recursion to k_max, emitting a point at every multiple of
+    stride and at k_max itself (k = 0 is always emitted).  Only the band
+    of rows up to the last one shadeable by k_max is computed."""
+    return DensitySeries(m=p.m, points=list(_points(p, k_max, stride)))
 
 
 def binomial_reference(k_max: int) -> list[tuple[int, ...]]:

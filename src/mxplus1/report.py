@@ -3,18 +3,22 @@
 Counts and powers of two are always written as exact decimal strings;
 they outgrow doubles long before the recursion slows down.  Floats are
 rendered with 9 significant digits, switching to scientific notation
-below 0.1.  Output uses LF line endings throughout.
+below 0.1.  Output uses LF line endings throughout.  Each format is a
+generator of lines over any iterable of records, which the to_*
+functions join and the CLI writes as each point is computed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from .density import DensityPoint, DensitySeries
 from .diophantine import Cycle
-from .oracle import OracleReport
+
+if TYPE_CHECKING:
+    from .oracle import OracleReport
 
 CSV_HEADER = "k,N,pow2k,shaded,F_new,F_terras,G"
 
@@ -44,19 +48,16 @@ def _digits(n: int) -> str:
         return str(Decimal(n))
 
 
+def _csv_lines(points: Iterable[DensityPoint]) -> Iterator[str]:
+    yield CSV_HEADER + "\n"
+    for pt in points:
+        yield ",".join((str(pt.k), _digits(pt.N), _digits(1 << pt.k),
+                        _digits(pt.shaded_count), format_float(pt.F_new),
+                        format_float(pt.F_terras), format_float(pt.G))) + "\n"
+
+
 def to_csv(series: DensitySeries) -> str:
-    lines = [CSV_HEADER]
-    for pt in series.points:
-        lines.append(",".join((
-            str(pt.k),
-            _digits(pt.N),
-            _digits(1 << pt.k),
-            _digits(pt.shaded_count),
-            format_float(pt.F_new),
-            format_float(pt.F_terras),
-            format_float(pt.G),
-        )))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_lines(series.points))
 
 
 def _density_record(m: int, pt: DensityPoint, variant: str) -> dict:
@@ -90,18 +91,10 @@ def _oracle_record(rep: OracleReport) -> dict:
     }
 
 
-Record = Union[DensityPoint, Cycle, OracleReport]
+Record = Union[DensityPoint, Cycle, "OracleReport"]
 
 
-def to_json(records: Union[DensitySeries, Iterable[Record]], *, m: int | None = None,
-            variant: str = "both") -> str:
-    """One JSON object per line per record.  DensityPoint records need m
-    (taken from the series when one is passed); OracleReport carries its
-    own.  Big counts become exact decimal strings, never numbers."""
-    if isinstance(records, DensitySeries):
-        m = records.m
-        records = records.points
-    lines = []
+def _json_lines(records: Iterable[Record], m: int | None, variant: str) -> Iterator[str]:
     for rec in records:
         if isinstance(rec, DensityPoint):
             if m is None:
@@ -111,19 +104,41 @@ def to_json(records: Union[DensitySeries, Iterable[Record]], *, m: int | None = 
             if m is None:
                 raise ValueError("m is required to serialize cycles")
             obj = _cycle_record(m, rec)
-        elif isinstance(rec, OracleReport):
-            obj = _oracle_record(rec)
         else:
-            raise TypeError(f"cannot serialize {type(rec).__name__}")
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    return "\n".join(lines) + "\n" if lines else ""
+            from .oracle import OracleReport  # only here: it loads numpy
+            if not isinstance(rec, OracleReport):
+                raise TypeError(f"cannot serialize {type(rec).__name__}")
+            obj = _oracle_record(rec)
+        yield json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def to_json(records: Union[DensitySeries, Iterable[Record]], *, m: int | None = None,
+            variant: str = "both") -> str:
+    """One JSON object per line per record.  DensityPoint records need m
+    (taken from the series when one is passed); OracleReport carries its
+    own.  Big counts become exact decimal strings, never numbers."""
+    if isinstance(records, DensitySeries):
+        m, records = records.m, records.points
+    return "".join(_json_lines(records, m, variant))
+
+
+def _plot_lines(m: int, points: Iterable[DensityPoint]) -> Iterator[str]:
+    yield f"# m={m}\n# k log10_F_new\n"
+    for pt in points:
+        yield f"{pt.k} {math.log10(pt.N) - pt.k * _LOG10_2:.10g}\n"
 
 
 def to_plot_data(series: DensitySeries) -> str:
     """Two whitespace-separated columns, k and log10(F_new), computed
     from the exact integers so deep tails never underflow."""
-    lines = [f"# m={series.m}", "# k log10_F_new"]
-    for pt in series.points:
-        val = math.log10(pt.N) - pt.k * _LOG10_2
-        lines.append(f"{pt.k} {val:.10g}")
-    return "\n".join(lines) + "\n"
+    return "".join(_plot_lines(series.m, series.points))
+
+
+def _table_lines(points: Iterable[DensityPoint], variant: str) -> Iterator[str]:
+    """Fixed-width columns k and the chosen F values to 8 digits."""
+    cols = {"both": ("Terras", "new"), "terras": ("Terras",), "new": ("new",)}[variant]
+    yield "  ".join(["k".rjust(6)] + [c.rjust(14) for c in cols]) + "\n"
+    for pt in points:
+        vals = {"Terras": pt.F_terras, "new": pt.F_new}
+        row = [str(pt.k).rjust(6)] + [f"{vals[c]:.8g}".rjust(14) for c in cols]
+        yield "  ".join(row) + "\n"

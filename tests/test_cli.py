@@ -1,8 +1,14 @@
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mxplus1
+from mxplus1 import density
 from mxplus1.cli import main
 from mxplus1.density import MAX_SERIES_K
 
@@ -112,8 +118,10 @@ def test_density_plot_format(capsys):
     assert "10 -1.2041" in out
 
 
-# sha256 of the full stdout of three table runs; any byte change in the
-# counts, the floats or the layout fails.
+# sha256 of the full stdout of the table runs, one per format and
+# variant; any byte change in the counts, the floats or the layout fails.
+# The last three were frozen from the in-memory serializers, before the
+# command wrote each line as its column was computed.
 DENSITY_STDOUT_SHA256 = {
     ("--m", "3", "--k-max", "300", "--every", "1", "--format", "csv"):
         "5e54719314bb87f06eb5d49f0f1d9ccbc33bc955c8d219a982f0e5c3c858463f",
@@ -121,10 +129,18 @@ DENSITY_STDOUT_SHA256 = {
         "5c895e63d9283c643c0b151b6d2c2bdbe9cb1978d43841b21432103dee1da443",
     ("--m", "5", "--k-max", "300", "--every", "100", "--format", "table"):
         "19127f7040c06e5b29b9210b7e7cc59fdc40b827b27332e62f249345542f396b",
+    ("--m", "3", "--k-max", "300", "--every", "1", "--format", "plot"):
+        "c9bc4f3eacb7422dc4e0c4c687d8928ddf112160dcbaa6ecf4df1fa46869f9fb",
+    ("--m", "5", "--k-max", "300", "--every", "1", "--format", "json", "--variant", "new"):
+        "52b00260d66dc30ab002bc223955a1133f14cf8543b8d220c956c1534d03cf70",
+    ("--m", "3", "--k-max", "300", "--every", "1", "--format", "table",
+     "--variant", "terras"):
+        "53cff8838ba5c3ecf3a11d82865203be2fe6c8eefbc46b39f1ffc109a91a6fec",
 }
 
 
-@pytest.mark.parametrize("argv", list(DENSITY_STDOUT_SHA256), ids=["csv", "json", "table"])
+@pytest.mark.parametrize("argv", list(DENSITY_STDOUT_SHA256),
+                         ids=["csv", "json", "table", "plot", "json-new", "table-terras"])
 def test_density_stdout_byte_golden(capsys, argv):
     code, out, _ = run(capsys, "density", *argv)
     assert code == 0
@@ -167,6 +183,99 @@ def test_out_writes_file(tmp_path, capsys):
     text = target.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "k,N,pow2k,shaded,F_new,F_terras,G"
     assert "\r" not in text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "plot", "table"])
+def test_density_out_file_equals_stdout(tmp_path, capsys, fmt):
+    argv = ["density", "--m", "5", "--k-max", "150", "--every", "7", "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / f"series.{fmt}"
+    code_out, out_out, _ = run(capsys, *argv, "--out", str(target))
+    assert (code, code_out, out_out) == (0, 0, "")
+    assert target.read_bytes() == out.encode("ascii")
+
+
+BAD_DENSITY_FLAGS = {
+    "m": ("--m", "4", "--k-max", "5"),
+    "k-max-bound": ("--m", "3", "--k-max", str(MAX_SERIES_K + 1)),
+    "k-max-negative": ("--m", "3", "--k-max", "-1"),
+    "every": ("--m", "3", "--k-max", "5", "--every", "0"),
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("flags", list(BAD_DENSITY_FLAGS.values()), ids=list(BAD_DENSITY_FLAGS))
+def test_density_usage_error_writes_nothing(tmp_path, capsys, flags, to_file):
+    # A usage error is found before any output sink is opened: nothing
+    # reaches stdout, and an existing --out file keeps every byte.
+    target = tmp_path / "kept.csv"
+    target.write_bytes(b"earlier run\r\n")
+    argv = ["density", *flags, *(("--out", str(target)) if to_file else ())]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert target.read_bytes() == b"earlier run\r\n"
+
+
+# Lines before the first data line, per density format.
+HEADER_LINES = {"csv": 1, "json": 0, "plot": 2, "table": 1}
+
+
+@pytest.mark.parametrize("fmt", list(HEADER_LINES))
+def test_density_streams_lines_as_columns_are_computed(monkeypatch, fmt):
+    calls = [0]
+    step = density.next_column
+
+    def counted(col):
+        calls[0] += 1
+        return step(col)
+
+    class Stdout(io.StringIO):
+        first_data_at = None
+
+        def write(self, text):
+            n = super().write(text)
+            if self.first_data_at is None and self.getvalue().count("\n") > HEADER_LINES[fmt]:
+                self.first_data_at = calls[0]
+            return n
+
+    stdout = Stdout()
+    monkeypatch.setattr(density, "next_column", counted)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["density", "--m", "3", "--k-max", "400", "--every", "1",
+                 "--format", fmt]) == 0
+    assert calls[0] == 400
+    assert stdout.first_data_at is not None and stdout.first_data_at < 400
+    assert stdout.getvalue().count("\n") == HEADER_LINES[fmt] + 401
+
+
+def test_density_and_cycles_do_not_import_numpy():
+    # Only the brute-force scans need numpy; the table and the cycle
+    # search run without loading it, in every output format.
+    script = (
+        "import sys\n"
+        "import mxplus1.cli\n"
+        "for argv in (['density', '--m', '3', '--k-max', '60', '--format', 'json'],\n"
+        "             ['density', '--m', '5', '--k-max', '60', '--format', 'table'],\n"
+        "             ['cycles', '--m', '3', '--k-max', '10'],\n"
+        "             ['cycles', '--m', '5', '--k-max', '10', '--format', 'json']):\n"
+        "    assert mxplus1.cli.main(argv) == 0\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(mxplus1.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stderr.strip() == "False"
+
+
+def test_every_public_name_resolves():
+    # the oracle's names are served on first use; the rest are imported
+    for name in mxplus1.__all__:
+        assert getattr(mxplus1, name) is not None
+    with pytest.raises(AttributeError):
+        mxplus1.no_such_name
 
 
 def test_verify_periodicity_pass(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from mxplus1 import (GREATER, LESS, T3, T5, MapParams, binomial_reference,
                      cmp_pow, density_series, initial_column, next_column)
-from mxplus1.density import MAX_SERIES_K
+from mxplus1.density import MAX_SERIES_K, _points
 
 # The m=3 table through k=10: nonzero rows, the cell zeroed per column,
 # and the totals row.
@@ -211,6 +211,14 @@ def test_series_validation():
         density_series(T3, MAX_SERIES_K + 1)
     with pytest.raises(ValueError):
         density_series(T3, 10, 0)
+
+
+def test_point_generator_checks_on_call():
+    # The checks run before the first point is asked for, so a caller can
+    # validate before it opens anything to write to.
+    for args in ((-1,), (MAX_SERIES_K + 1,), (10, 0)):
+        with pytest.raises(ValueError):
+            _points(T3, *args)
 
 
 def test_binomial_reference_golden():
