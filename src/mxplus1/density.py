@@ -50,7 +50,8 @@ class DensityColumn:
     uncapped, carried by the doubling identity when capped (the rows
     above the cap are not stored, but they are not zero).  _m_pow is
     m**i_min, carried so that the power test of the next column costs
-    one multiply each time i_min advances.
+    one multiply each time i_min advances; 0 means not carried, and the
+    next column computes it.  It takes no part in ==.
     """
 
     m: int
@@ -60,7 +61,7 @@ class DensityColumn:
     shaded: ShadedCell | None
     N: int
     top: int | None = None
-    _m_pow: int = field(default=1, repr=False)
+    _m_pow: int = field(default=0, repr=False, compare=False)
 
     def row(self, i: int) -> int:
         """Stored count for row i; zeroed, never-populated and unstored
@@ -135,7 +136,7 @@ def next_column(col: DensityColumn) -> DensityColumn:
     k = col.k + 1
     old = col.rows
     i_min = col.i_min
-    m_pow = col._m_pow
+    m_pow = col._m_pow or m**i_min
     # m**i_min < 2**k exactly when its bit length is k at most (it is odd)
     crossed = m_pow.bit_length() <= k
     if not old:

@@ -3,9 +3,9 @@
 A parity vector of length k with k2 odd steps turns the relation
 b * T^(k)(n) = a * n + c into the two-unknown equation c = b*y - a*x
 with a = m**k2 and b = 2**k coprime.  This module solves that equation,
-recovers the residue class generating a vector, classifies vectors as
-rising or falling by comparing a with b, and hunts for cycles via the
-fixed-point condition x = c / (b - a).
+whose least non-negative x is the residue class generating the vector,
+classifies vectors as rising or falling by comparing a with b, and hunts
+for cycles via the fixed-point condition x = c / (b - a).
 """
 
 from __future__ import annotations
@@ -96,28 +96,12 @@ def equation_of_vector(p: MapParams, w: ParityVector) -> DiophantineEq:
 def residue_of_vector(p: MapParams, w: ParityVector) -> int:
     """Least non-negative r mod 2**k whose class realizes the vector w.
 
-    Bits of r are fixed one at a time: with j bits chosen, adding 2**j
-    to the start shifts the j-th trajectory value by exactly m**k2
-    (odd), so flipping that bit toggles the j-th parity.  Each bit is
-    therefore forced, and the class r + 2**k * q is the unique one
-    whose members all share the vector.
+    Every start n with vector w satisfies b * T^(k)(n) = a*n + c, so b
+    divides a*n + c and n is the solver's x0 mod b = 2**k.  Each vector
+    is realized by some start (Terras 1976), so x0's class is the
+    unique one whose members all share w.
     """
-    if w.k == 0:
-        raise ValueError("vector must be non-empty")
-    m = p.m
-    r = 0
-    v = 0       # j-th trajectory value of the current representative r
-    a = 1       # m**(ones consumed so far), the shift per flipped bit
-    for j, bit in enumerate(w.bits):
-        if v % 2 != bit:
-            r += 1 << j
-            v += a
-        if bit:
-            a *= m
-            v = (m * v + 1) // 2
-        else:
-            v //= 2
-    return r
+    return solve(equation_of_vector(p, w)).x0
 
 
 def classify(eq: DiophantineEq) -> Classification:
@@ -135,13 +119,11 @@ def cycle_candidate(p: MapParams, w: ParityVector) -> int | None:
     own parity vector, so it closes under direct iteration.  Signed
     division matters: rising vectors give negative cycles.
     """
-    if w.k == 0:
-        raise ValueError("vector must be non-empty")
-    form = affine_of_vector(p, w)
-    d = form.b - form.a
-    if d == 0 or form.c % d != 0:
+    eq = equation_of_vector(p, w)
+    d = eq.b - eq.a  # b is even and a odd, so never 0
+    if eq.c % d != 0:
         return None
-    return form.c // d
+    return eq.c // d
 
 
 def _canonical_rotation(values: list[int]) -> tuple[int, ...]:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bigmath import _coefficient_limits
 from .density import density_series
-from .trajectory import MapParams
+from .trajectory import MapParams, _first_drops
 
 MAX_ORACLE_K = 26
 MAX_PERIODICITY_K = 20
@@ -202,32 +202,16 @@ def _scan_limbs(m: int, k: int, start: int, stop: int):
 
 
 def _scan_exact(m: int, k: int, start: int, stop: int):
-    """Pure-integer reference scan; exact for any m, k, offset.
+    """Pure-integer reference scan; exact for any m, k and start >= 1.
 
-    Production never calls it: _scan_chunk runs _scan_limbs.  The tests
-    compare the two.
+    Each start's first drops come from the scalar walk behind the public
+    stopping times.  Production never calls it: _scan_chunk runs
+    _scan_limbs.  The tests compare the two.
     """
     gt = ge = agt = 0
     mismatches = []
     for n in range(start, stop):
-        v = n
-        a = 1
-        b = 1
-        fc = 0
-        fa = 0
-        for j in range(1, k + 1):
-            if v & 1:
-                a *= m
-                v = (m * v + 1) >> 1
-            else:
-                v >>= 1
-            b <<= 1
-            if fc == 0 and a < b:
-                fc = j
-            if fa == 0 and v < n:
-                fa = j
-            if fc and fa:
-                break
+        fc, fa = _first_drops(m, n, k)
         if fc == 0:
             gt += 1
             ge += 1

@@ -4,7 +4,8 @@ T(n) = n/2 for even n and (m*n + 1)/2 for odd n, with odd m >= 3 (m = 3
 is the 3x+1 map, m = 5 the 5x+1 map).  Besides plain iteration this
 module extracts parity vectors, folds a parity vector into the exact
 affine form of the composed map, and computes both stopping-time
-notions: the first actual value drop and the first coefficient drop.
+notions, the first actual value drop and the first coefficient drop,
+from one walk.
 """
 
 from __future__ import annotations
@@ -178,22 +179,44 @@ def affine_of_vector(p: MapParams, w: ParityVector) -> AffineForm:
     return AffineForm(m=m, k=w.k, k2=w.k2, a=a, b=pw, c=c)
 
 
+def _first_drops(m: int, n: int, cap: int) -> tuple[int, int]:
+    """First coefficient drop and first value drop of n within cap steps.
+
+    Returns (fc, fa): fc is the least j in 1..cap whose first j parity
+    bits give m**k2 < 2**j, fa the least j with T^(j)(n) < n, and 0
+    means none within cap.  A value drop needs a coefficient drop, since
+    T^(j)(n) = (m**k2 * n + c) / 2**j with c >= 0, so both are found
+    once fa is, and the walk stops there.
+    """
+    if n < 1:
+        raise ValueError("stopping times are defined for n >= 1")
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    fc = 0
+    a = 1       # m**k2, carried until the coefficient drops
+    v = n
+    for j in range(1, cap + 1):
+        if v & 1:
+            v = (m * v + 1) >> 1
+            if not fc:
+                a *= m
+        else:
+            v >>= 1
+        # a is odd, so a < 2**j exactly when its bit length is j at most
+        if not fc and a.bit_length() <= j:
+            fc = j
+        if v < n:
+            return fc, j
+    return fc, 0
+
+
 def stopping_time_actual(p: MapParams, n: int, cap: int) -> StoppingTimeResult:
     """Least j >= 1 with T^(j)(n) < n, searched up to cap steps.
 
     Defined for n >= 1 only.  The search is capped because it can
     diverge (n = 1 under m = 3 cycles forever; most n under m = 5).
     """
-    if n < 1:
-        raise ValueError("actual stopping time is defined for n >= 1")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    v = n
-    for j in range(1, cap + 1):
-        v = step(p, v)
-        if v < n:
-            return StoppingTimeResult(j, cap)
-    return StoppingTimeResult(None, cap)
+    return StoppingTimeResult(_first_drops(p.m, n, cap)[1] or None, cap)
 
 
 def stopping_time_coefficient(p: MapParams, n: int, cap: int) -> StoppingTimeResult:
@@ -203,18 +226,4 @@ def stopping_time_coefficient(p: MapParams, n: int, cap: int) -> StoppingTimeRes
     and it is necessary for an actual drop, so it never exceeds the
     actual stopping time when both are found.
     """
-    if n < 1:
-        raise ValueError("coefficient stopping time is defined for n >= 1")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    v = n
-    a = 1
-    b = 1
-    for j in range(1, cap + 1):
-        if v % 2:
-            a *= p.m
-        v = step(p, v)
-        b <<= 1
-        if a < b:
-            return StoppingTimeResult(j, cap)
-    return StoppingTimeResult(None, cap)
+    return StoppingTimeResult(_first_drops(p.m, n, cap)[0] or None, cap)

@@ -295,7 +295,9 @@ def test_jobs_flag_output_independent(capsys):
 
 # Full stdout and exit code of brute-force checks far past the int64
 # bound, frozen from the per-start Python loops these runs used before
-# they were vectorized.
+# they were vectorized; and of a wide parity vector and capped stopping
+# times, frozen from the bit-forcing residue loop and the two separate
+# stopping-time walks used before each was derived once.
 CHECK_STDOUT = {
     ("verify-periodicity", "--m", "3", "--k", "16", "--start", "103694312"): (
         0, "m 3 k 16 start 103694312\ndistinct 65536 of 65536\nrepetition ok\nPASS\n"),
@@ -306,11 +308,30 @@ CHECK_STDOUT = {
         0, "m 5 k 14 offset 2305843009213693955\ntable_N 3830\n"
            "count_coefficient_gt 3830\ncount_coefficient_ge 4032\n"
            "count_actual_gt 3830\ndiscrepancy 0\nmatch yes\n"),
+    ("vector", "--m", "5", "--n", str(2**100 + 7), "--k", "300"): (
+        0, "bits 101101110111101010101110011000111000101111011100000010101000111"
+           "10101010101001110011100110000001010110000011000001010101110100100011"
+           "10110111000010100101100010110100000011101110101000001111111010010111"
+           "10100111000001101000001110000001000101011011011000110111100111101101"
+           "110011110100001011100010100010111\n"
+           "equation 36144219966592488562311990695028573030188535961127198577462"
+           "6475868085171823470671289877972928064990728833 = 2037035976334486086"
+           "26844568840937816105146839366593625063614044935438129976333670618339"
+           "7376y - 700649232162408535461864791644958065640130970938257885878534"
+           "141944895541342930300743319094181060791015625x\n"
+           "residue 1267650600228229401496703205383 mod 203703597633448608626844"
+           "5688409378161051468393665936250636140449354381299763336706183397376\n"
+           "classification rising\n"),
+    ("stopping", "--m", "5", "--n", "7", "--cap", "2000"): (
+        0, "actual: exceeded cap 2000\ncoefficient: exceeded cap 2000\n"),
+    ("stopping", "--m", "3", "--n", "1", "--cap", "5000"): (
+        0, "actual: exceeded cap 5000\ncoefficient: k=2\n"),
 }
 
 
 @pytest.mark.parametrize("argv", list(CHECK_STDOUT),
-                         ids=["periodicity-m3-k16", "periodicity-m5-2e70", "oracle-m5-2e61"])
+                         ids=["periodicity-m3-k16", "periodicity-m5-2e70", "oracle-m5-2e61",
+                              "vector-m5-2e100", "stopping-m5-n7", "stopping-m3-n1"])
 def test_check_stdout_byte_golden(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert (code, out) == CHECK_STDOUT[argv]

@@ -5,7 +5,7 @@ import pytest
 
 from mxplus1 import (GREATER, LESS, T3, T5, MapParams, binomial_reference,
                      cmp_pow, density_series, initial_column, next_column)
-from mxplus1.density import MAX_SERIES_K, _points
+from mxplus1.density import MAX_SERIES_K, DensityColumn, _points
 
 # The m=3 table through k=10: nonzero rows, the cell zeroed per column,
 # and the totals row.
@@ -104,6 +104,26 @@ def test_band_empties_before_k_max():
     assert (col.rows, col.shaded, col.i_min) == ((), None, 568)
     with pytest.raises(ValueError):
         next_column(col)
+
+
+@pytest.mark.parametrize("p,k,top", [(T3, 10, None), (T5, 300, 215)],
+                         ids=["m3-uncapped", "m5-capped"])
+def test_column_rebuilt_from_public_fields_steps_like_chained(p, k, top):
+    # A column carries no hidden state the next step needs: one rebuilt
+    # from its public fields steps to the same columns as the chained
+    # one.  Row 215 is the last one m=5 shades by k=500.
+    assert cmp_pow(5, 215, 500) == LESS and cmp_pow(5, 216, 500) == GREATER
+    chained = replace(initial_column(p), top=top)
+    for _ in range(k):
+        chained = next_column(chained)
+    rebuilt = DensityColumn(m=chained.m, k=chained.k, i_min=chained.i_min,
+                            rows=chained.rows, shaded=chained.shaded,
+                            N=chained.N, top=chained.top)
+    for _ in range(200):
+        assert rebuilt == chained
+        chained = next_column(chained)
+        rebuilt = next_column(rebuilt)
+    assert rebuilt == chained
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])

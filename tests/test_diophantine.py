@@ -141,12 +141,13 @@ def test_find_cycles_budget():
         find_cycles(T3, 0)
 
 
-@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("m", [3, 5, 7, 2**40 + 1])
 def test_residue_roundtrip_exhaustive(m):
-    # Every vector of length <= 14 is regenerated by its residue class;
-    # the +2**k shift keeps the representative positive.
+    # Every vector of length <= 14 (<= 10 for the 41-bit multiplier) is
+    # regenerated by its residue class; the +2**k shift keeps the
+    # representative positive.
     p = MapParams(m)
-    for k in range(1, 15):
+    for k in range(1, 15 if m < 2**40 else 11):
         for w in _all_vectors(k):
             r = residue_of_vector(p, w)
             assert 0 <= r < (1 << k)

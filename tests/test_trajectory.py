@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mxplus1 import (MapParams, ParityVector, T3, T5, affine_of_vector,
-                     iterate, parity_vector, step, stopping_time_actual,
-                     stopping_time_coefficient)
+from mxplus1 import (MapParams, ParityVector, StoppingTimeResult, T3, T5,
+                     affine_of_vector, iterate, parity_vector, step,
+                     stopping_time_actual, stopping_time_coefficient)
 
 
 def test_map_params_validation():
@@ -141,3 +141,19 @@ def test_coefficient_drop_no_later_than_actual(m, n):
     coeff = stopping_time_coefficient(p, n, cap)
     if actual.found:
         assert coeff.found and coeff.k <= actual.k
+
+
+@given(m=st.sampled_from([3, 5, 7]),
+       n=st.integers(min_value=1, max_value=2**80),
+       cap=st.integers(min_value=1, max_value=60))
+@settings(max_examples=300, deadline=None)
+def test_stopping_times_follow_the_definitions(m, n, cap):
+    # Both stopping times, read straight off the trajectory and the
+    # parity vector; None when the first cap steps show no drop.
+    p = MapParams(m)
+    values = iterate(p, n, cap).values
+    bits = parity_vector(p, n, cap).bits
+    actual = next((j for j in range(1, cap + 1) if values[j] < n), None)
+    coeff = next((j for j in range(1, cap + 1) if m ** sum(bits[:j]) < 2**j), None)
+    assert stopping_time_actual(p, n, cap) == StoppingTimeResult(actual, cap)
+    assert stopping_time_coefficient(p, n, cap) == StoppingTimeResult(coeff, cap)
