@@ -3,21 +3,22 @@
 Exit codes are a stable contract: 0 success (and, for `oracle`, table
 agreement), 1 verified-property failure (oracle mismatch, periodicity
 violation), 2 usage error.  Identical flags produce byte-identical
-output, so runs can be diffed and wired into CI directly.
+output, so runs can be diffed and wired into CI directly.  Only the
+library checks arguments, and a usage error names the flag at fault.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Iterable
 
 from . import report
-from .density import MAX_SERIES_K, _points
-from .diophantine import (MAX_CYCLE_SEARCH_K, classify, equation_of_vector,
-                          find_cycles, residue_of_vector)
-from .trajectory import (MapParams, iterate, parity_vector, stopping_time_actual,
-                         stopping_time_coefficient)
+from .density import _points
+from .diophantine import classify, equation_of_vector, find_cycles, residue_of_vector
+from .trajectory import (MapParams, StoppingTimeResult, _first_drops, iterate,
+                         parity_vector)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -32,21 +33,10 @@ def _write_lines(lines: Iterable[str], out: str | None) -> None:
             fh.writelines(lines)
 
 
-def _usage_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
-
-
 def _cmd_density(args) -> int:
-    if args.k_max < 0:
-        return _usage_error("--k-max must be non-negative")
-    if args.k_max > MAX_SERIES_K:
-        return _usage_error(f"--k-max exceeds the practical bound ({MAX_SERIES_K})")
-    if args.every < 1:
-        return _usage_error("--every must be positive")
     # built (and so validated) before the sink opens: a usage error
     # writes nothing, and each line goes out as its column is computed
-    points = _points(MapParams(args.m), args.k_max, args.every)
+    points = _points(MapParams(args.m), args.k_max, args.stride)
     if args.format == "csv":
         lines = report._csv_lines(points)
     elif args.format == "json":
@@ -60,13 +50,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import MAX_ORACLE_K, count_window  # numpy: only the scans load it
-    if not 1 <= args.k <= MAX_ORACLE_K:
-        return _usage_error(f"--k must be in 1..{MAX_ORACLE_K} (brute-force budget)")
-    if args.offset < 1:
-        return _usage_error("--offset must be >= 1")
-    if args.jobs < 1:
-        return _usage_error("--jobs must be >= 1")
+    from .oracle import count_window  # numpy: only the scans load it
     rep = count_window(MapParams(args.m), args.k, args.offset, jobs=args.jobs)
     if args.format == "json":
         text = report.to_json([rep])
@@ -85,28 +69,19 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
-    if args.steps < 0:
-        return _usage_error("--steps must be non-negative")
-    traj = iterate(MapParams(args.m), args.n, args.steps)
+    traj = iterate(MapParams(args.m), args.n, args.k)
     _write(" ".join(str(v) for v in traj.values) + "\n", args.out)
     return 0
 
 
 def _cmd_stopping(args) -> int:
-    if args.n < 1:
-        return _usage_error("--n must be >= 1 for stopping times")
-    if args.cap < 1:
-        return _usage_error("--cap must be positive")
-    p = MapParams(args.m)
-    actual = stopping_time_actual(p, args.n, args.cap)
-    coeff = stopping_time_coefficient(p, args.n, args.cap)
+    fc, fa = _first_drops(MapParams(args.m).m, args.n, args.cap)
+    actual, coeff = (StoppingTimeResult(j or None, args.cap) for j in (fa, fc))
     _write(f"actual: {actual}\ncoefficient: {coeff}\n", args.out)
     return 0
 
 
 def _cmd_vector(args) -> int:
-    if args.k < 1:
-        return _usage_error("--k must be positive")
     p = MapParams(args.m)
     w = parity_vector(p, args.n, args.k)
     eq = equation_of_vector(p, w)
@@ -124,8 +99,6 @@ def _cmd_vector(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
-    if not 1 <= args.k_max <= MAX_CYCLE_SEARCH_K:
-        return _usage_error(f"--k-max must be in 1..{MAX_CYCLE_SEARCH_K}")
     cycles = find_cycles(MapParams(args.m), args.k_max)
     if args.format == "json":
         text = report.to_json(cycles, m=args.m)
@@ -136,11 +109,7 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_verify_periodicity(args) -> int:
-    from .oracle import MAX_PERIODICITY_K, periodicity_window
-    if not 1 <= args.k <= MAX_PERIODICITY_K:
-        return _usage_error(f"--k must be in 1..{MAX_PERIODICITY_K}")
-    if args.start < 0:
-        return _usage_error("--start must be non-negative")
+    from .oracle import periodicity_window
     distinct, repeats_ok = periodicity_window(MapParams(args.m), args.k, args.start)
     width = 1 << args.k
     distinct_ok = distinct == width
@@ -158,6 +127,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=int, default=3,
                      help="odd multiplier >= 3 (3 and 5 are the classic maps)")
     sub.add_argument("--out", default=None, help="write output to this path")
+    sub.set_defaults(parser=sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     d = subs.add_parser("density", help="run the column recursion and export the series")
     _add_common(d)
     d.add_argument("--k-max", type=int, required=True, help="last column to compute")
-    d.add_argument("--every", type=int, default=1, help="emit a point every this many k")
+    d.add_argument("--every", type=int, default=1, dest="stride", metavar="EVERY",
+                   help="emit a point every this many k")
     d.add_argument("--variant", choices=("new", "terras", "both"), default="both")
     d.add_argument("--format", choices=("csv", "json", "plot", "table"), default="csv")
     d.set_defaults(func=_cmd_density)
@@ -186,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = subs.add_parser("trajectory", help="print a trajectory")
     _add_common(t)
     t.add_argument("--n", type=int, required=True)
-    t.add_argument("--steps", type=int, required=True)
+    t.add_argument("--steps", type=int, required=True, dest="k", metavar="STEPS")
     t.set_defaults(func=_cmd_trajectory)
 
     s = subs.add_parser("stopping", help="both stopping-time notions side by side")
@@ -218,12 +189,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:
-        return _usage_error(str(exc))
+        msg = str(exc)
+    # a leading parameter name becomes its flag; other messages pass as written
+    name = re.match(r"\w*", msg).group()
+    for action in args.parser._actions:
+        if action.dest == name:
+            msg = action.option_strings[0] + msg[len(name):]
+    print(f"error: {msg}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

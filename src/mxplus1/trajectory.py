@@ -189,7 +189,7 @@ def _first_drops(m: int, n: int, cap: int) -> tuple[int, int]:
     once fa is, and the walk stops there.
     """
     if n < 1:
-        raise ValueError("stopping times are defined for n >= 1")
+        raise ValueError("n must be >= 1 for stopping times")
     if cap < 1:
         raise ValueError("cap must be positive")
     fc = 0

@@ -195,25 +195,46 @@ def test_density_out_file_equals_stdout(tmp_path, capsys, fmt):
     assert target.read_bytes() == out.encode("ascii")
 
 
-BAD_DENSITY_FLAGS = {
-    "m": ("--m", "4", "--k-max", "5"),
-    "k-max-bound": ("--m", "3", "--k-max", str(MAX_SERIES_K + 1)),
-    "k-max-negative": ("--m", "3", "--k-max", "-1"),
-    "every": ("--m", "3", "--k-max", "5", "--every", "0"),
+# Every usage error of every subcommand, with the start of its message:
+# the flag that set the rejected parameter, or, where the library's
+# message starts with no parameter, that message as written.
+BAD_FLAGS = {
+    "m": (("density", "--m", "4", "--k-max", "5"), "--m"),
+    "k-max-bound": (("density", "--m", "3", "--k-max", str(MAX_SERIES_K + 1)), "--k-max"),
+    "k-max-negative": (("density", "--m", "3", "--k-max", "-1"), "--k-max"),
+    "every": (("density", "--m", "3", "--k-max", "5", "--every", "0"), "--every"),
+    "oracle-m": (("oracle", "--m", "4", "--k", "5"), "--m"),
+    "oracle-k-zero": (("oracle", "--k", "0"), "--k"),
+    "oracle-k-bound": (("oracle", "--k", "27"), "--k"),
+    "oracle-offset": (("oracle", "--k", "5", "--offset", "0"), "--offset"),
+    "oracle-jobs": (("oracle", "--k", "5", "--jobs", "0"), "--jobs"),
+    "trajectory-m": (("trajectory", "--m", "2", "--n", "3", "--steps", "2"), "--m"),
+    "trajectory-steps": (("trajectory", "--n", "3", "--steps", "-1"), "--steps"),
+    "stopping-m": (("stopping", "--m", "6", "--n", "7"), "--m"),
+    "stopping-n": (("stopping", "--n", "0"), "--n"),
+    "stopping-cap": (("stopping", "--n", "7", "--cap", "0"), "--cap"),
+    "vector-k-negative": (("vector", "--n", "5", "--k", "-3"), "--k"),
+    "vector-k-zero": (("vector", "--n", "5", "--k", "0"), "vector must be non-empty"),
+    "cycles-m": (("cycles", "--m", "4", "--k-max", "5"), "--m"),
+    "cycles-k-max-zero": (("cycles", "--k-max", "0"), "--k-max"),
+    "cycles-k-max-bound": (("cycles", "--k-max", "29"), "--k-max"),
+    "periodicity-k-zero": (("verify-periodicity", "--k", "0"), "--k"),
+    "periodicity-k-bound": (("verify-periodicity", "--k", "21"), "--k"),
+    "periodicity-start": (("verify-periodicity", "--k", "5", "--start", "-1"), "--start"),
 }
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-@pytest.mark.parametrize("flags", list(BAD_DENSITY_FLAGS.values()), ids=list(BAD_DENSITY_FLAGS))
-def test_density_usage_error_writes_nothing(tmp_path, capsys, flags, to_file):
+@pytest.mark.parametrize("argv,expected", list(BAD_FLAGS.values()), ids=list(BAD_FLAGS))
+def test_density_usage_error_writes_nothing(tmp_path, capsys, argv, expected, to_file):
     # A usage error is found before any output sink is opened: nothing
-    # reaches stdout, and an existing --out file keeps every byte.
+    # reaches stdout, an existing --out file keeps every byte, and the
+    # message names the flag at fault.
     target = tmp_path / "kept.csv"
     target.write_bytes(b"earlier run\r\n")
-    argv = ["density", *flags, *(("--out", str(target)) if to_file else ())]
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, *(("--out", str(target)) if to_file else ()))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {expected}")
     assert target.read_bytes() == b"earlier run\r\n"
 
 
