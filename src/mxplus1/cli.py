@@ -2,23 +2,26 @@
 
 Exit codes are a stable contract: 0 success (and, for `oracle`, table
 agreement), 1 verified-property failure (oracle mismatch, periodicity
-violation), 2 usage error.  Identical flags produce byte-identical
-output, so runs can be diffed and wired into CI directly.  Only the
-library checks arguments, and a usage error names the flag at fault.
+violation), 2 usage error; a reader that closes stdout early (`| head`)
+ends the run quietly with 141, the status a shell gives SIGPIPE.
+Identical flags produce byte-identical output, so runs can be diffed and
+wired into CI directly.  Only the library checks arguments, and a usage
+error names the flag at fault.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
+from contextlib import closing
 from typing import Iterable
 
 from . import report
 from .density import _points
-from .diophantine import classify, equation_of_vector, find_cycles, residue_of_vector
-from .trajectory import (MapParams, StoppingTimeResult, _first_drops, iterate,
-                         parity_vector)
+from .diophantine import _start_vector, classify, find_cycles
+from .trajectory import MapParams, StoppingTimeResult, _first_drops, iterate
 
 
 def _write(text: str, out: str | None) -> None:
@@ -45,7 +48,8 @@ def _cmd_density(args) -> int:
         lines = report._plot_lines(args.m, points)
     else:
         lines = report._table_lines(points, args.variant)
-    _write_lines(lines, args.out)
+    with closing(points):  # stops the stripe process on an early exit too
+        _write_lines(lines, args.out)
     return 0
 
 
@@ -82,10 +86,7 @@ def _cmd_stopping(args) -> int:
 
 
 def _cmd_vector(args) -> int:
-    p = MapParams(args.m)
-    w = parity_vector(p, args.n, args.k)
-    eq = equation_of_vector(p, w)
-    r = residue_of_vector(p, w)
+    w, eq, r = _start_vector(MapParams(args.m), args.n, args.k)
     # a is odd and b a power of two, so a != b for every non-empty vector
     kind = classify(eq).value
     text = (
@@ -194,6 +195,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         msg = str(exc)
+    except BrokenPipeError:
+        # stdout goes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     # a leading parameter name becomes its flag; other messages pass as written
     name = re.match(r"\w*", msg).group()
     for action in args.parser._actions:

@@ -22,12 +22,20 @@ instead of a sum over the column.  Once row i_top is shaded the band is
 empty: every later column up to k_max shades nothing and N doubles.  An
 uncapped column keeps every row and sums them for N; it is the full
 reference the tests compare the band against.
+
+With two cores a big band is cut at a row: a second process steps the
+lower stripe and feeds its top row, and its shaded counts, to the upper
+stripe stepped here.  At most one row shades per column, so a column's
+shaded count is the sum of the two stripes' and N still comes from the
+doubling identity.
 """
 
 from __future__ import annotations
 
+import os
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import accumulate, chain, repeat
 from operator import add
 from typing import Iterator, NamedTuple
 
@@ -113,17 +121,19 @@ def initial_column(p: MapParams) -> DensityColumn:
     return DensityColumn(m=p.m, k=0, i_min=0, rows=(1,), shaded=None, N=1)
 
 
-def next_column(col: DensityColumn) -> DensityColumn:
+def next_column(col: DensityColumn, below: int = 0) -> DensityColumn:
     """Advance the recursion by one column.
 
     Candidate rows run from the old i_min up to the new k, or up to top
     for a capped column; each candidate is the Pascal sum of its two
-    parents (absent parents read 0, so candidate i_min equals the old
-    row i_min, and a new highest candidate equals the old highest row,
-    which in an uncapped column is the all-odd row and stays 1 forever).
-    Candidate i_min is then the only row that can fail the exact power
-    test m**i > 2**k: if it does, it becomes the shaded cell and is
-    dropped.
+    parents (absent parents read 0, so a new highest candidate equals
+    the old highest row, which in an uncapped column is the all-odd row
+    and stays 1 forever).  The lower parent of candidate i_min, row
+    i_min - 1 of the column before, is passed as below: it is zeroed or
+    absent, so 0, except for a stripe cut from the rows under it (see
+    _points).  Candidate i_min is then the only row that can fail the
+    exact power test m**i > 2**k: if it does, it becomes the shaded cell
+    and is dropped.
 
     An uncapped column sums its rows for N, leaving the doubling
     identity N(k) = 2*N(k-1) - shaded(k) as an independent cross-check.
@@ -139,14 +149,14 @@ def next_column(col: DensityColumn) -> DensityColumn:
     m_pow = col._m_pow or m**i_min
     # m**i_min < 2**k exactly when its bit length is k at most (it is odd)
     crossed = m_pow.bit_length() <= k
-    if not old:
+    if not old and not below:
         if crossed:
             raise ValueError(f"row {i_min} above the band (top={col.top}) "
                              f"would be shaded at k={k}")
         return replace(col, k=k, shaded=None, N=2 * col.N)
-    cand = [old[0], *map(add, old, islice(old, 1, None))]
-    if col.top is None or i_min + len(old) <= col.top:
-        cand.append(old[-1])
+    cand = list(map(add, (below, *old), (*old, 0)))
+    if col.top is not None and i_min + len(old) > col.top:
+        cand.pop()
     shaded = None
     if crossed:
         if cand[0] > 0:
@@ -162,36 +172,110 @@ def next_column(col: DensityColumn) -> DensityColumn:
                          shaded=shaded, N=n, top=col.top, _m_pow=m_pow)
 
 
-def _point(col: DensityColumn) -> DensityPoint:
-    f_new = ratio_to_float(col.N, col.k)
-    f_terras = ratio_to_float(col.N + col.shaded_count, col.k)
-    return DensityPoint(k=col.k, N=col.N, shaded_count=col.shaded_count,
-                        F_new=f_new, F_terras=f_terras, G=1.0 - f_new)
+def _point(k: int, n: int, shaded: int) -> DensityPoint:
+    f_new = ratio_to_float(n, k)
+    return DensityPoint(k=k, N=n, shaded_count=shaded, F_new=f_new,
+                        F_terras=ratio_to_float(n + shaded, k), G=1.0 - f_new)
+
+
+# A band is split when its cost (see _split_row) reaches this many bits
+# of addition: on a 2-core Xeon VM the stripe process took 35-50 ms to
+# start and stop, multiprocessing's import included, and such a band
+# 0.5-0.7 s.
+SPLIT_MIN_COST = 5 * 10**9
+_BATCH = 64  # columns per message from the stripe process
+
+
+def _split_row(lim: list[int], top: int) -> int:
+    """The first row of the upper stripe, where the band's cost (about j
+    bits of addition per candidate of column j) is halved: near 0.79 *
+    top for m = 3 and 5.  0, no lower stripe, on one core or a small band."""
+    cost = [0] * (top + 2)  # per row, as differences
+    for j in range(1, len(lim)):
+        cost[lim[j - 1]] += j  # column j computes rows lim[j-1]..min(j, top)
+        cost[min(j, top) + 1] -= j
+    cum = list(accumulate(accumulate(cost)))
+    if (os.cpu_count() or 1) < 2 or cum[top] < SPLIT_MIN_COST:
+        return 0
+    return max(bisect_left(cum, cum[top] / 2), 1)
+
+
+def _lower_stripe(conn, parent_end, p: MapParams, split: int) -> None:
+    """The stripe process: step rows 0..split - 1 until all are shaded,
+    and send, for each column k, row split - 1 of column k - 1 (the
+    lower parent of row split) and the stripe's shaded count at k, in
+    batches ending with None."""
+    parent_end.close()  # else a parent that dies leaves send blocked
+    col = replace(initial_column(p), top=split - 1)
+    batch = []
+    while col.rows:
+        below = col.row(split - 1)
+        col = next_column(col)
+        batch.append((below, col.shaded_count))
+        if len(batch) == _BATCH or not col.rows:
+            conn.send(batch)
+            batch = []
+    conn.send(None)
 
 
 def _points(p: MapParams, k_max: int, stride: int = 1) -> Iterator[DensityPoint]:
     """The points of density_series(p, k_max, stride), one at a time:
     each column is computed when the next point is asked for, so a
     caller that writes points as they come holds one column.  The
-    arguments are checked on the call, before the first point."""
+    arguments are checked on the call, before the first point; the
+    stripe process, if any, starts with the first point and stops when
+    the generator is exhausted or closed."""
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     if k_max > MAX_SERIES_K:
         raise ValueError(f"k_max={k_max} exceeds the practical bound {MAX_SERIES_K}")
     if stride < 1:
         raise ValueError("stride must be positive")
+    lim = _coefficient_limits(p.m, k_max)
     # the last row a column k <= k_max can shade: the largest i with
     # m**i < 2**k_max, or 0 when there is none (k_max = 0)
-    top = max(_coefficient_limits(p.m, k_max)[k_max] - 1, 0)
+    top = max(lim[k_max] - 1, 0)
+    split = _split_row(lim, top)
 
-    def walk(col: DensityColumn) -> Iterator[DensityPoint]:
-        yield _point(col)
-        for k in range(1, k_max + 1):
-            col = next_column(col)
-            if k % stride == 0 or k == k_max:
-                yield _point(col)
+    def walk() -> Iterator[DensityPoint]:
+        col = replace(initial_column(p), top=top)
+        # per column: the lower parent of row split, the lower stripe's shaded count
+        fed = repeat((0, 0))
+        proc = None
+        if split:
+            # The platform's default start method, as the oracle's pool:
+            # fork on Linux, which starts in milliseconds.  spawn also
+            # re-imports the main module, which for perfbench's op.py
+            # means numpy: 1.6-2.1 s more CPU per table pass on a 2-core
+            # Xeon VM.
+            import multiprocessing  # only here: its import costs 38 ms
+            conn, child = multiprocessing.Pipe()
+            proc = multiprocessing.Process(target=_lower_stripe, daemon=True,
+                                           args=(child, conn, p, split))
+            proc.start()
+            child.close()
+            col = replace(col, i_min=split, rows=())  # rows split..top, none born yet
+            fed = chain(chain.from_iterable(iter(conn.recv, None)), fed)
+        n = 1
+        try:
+            yield _point(0, n, 0)
+            for k in range(1, k_max + 1):
+                below, shaded = next(fed)
+                col = next_column(col, below)
+                shaded += col.shaded_count
+                n = 2 * n - shaded
+                if k % stride == 0 or k == k_max:
+                    yield _point(k, n, shaded)
+        except (EOFError, OSError) as exc:
+            proc.join()
+            raise RuntimeError("the stripe process exited with code "
+                               f"{proc.exitcode}") from exc
+        finally:
+            if proc:
+                proc.terminate()
+                proc.join()
 
-    return walk(replace(initial_column(p), top=top))
+    return walk()
 
 
 def density_series(p: MapParams, k_max: int, stride: int = 1) -> DensitySeries:

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .trajectory import MapParams, ParityVector, affine_of_vector, step
+from .trajectory import MapParams, ParityVector, affine_of_vector, parity_vector, step
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,17 @@ def residue_of_vector(p: MapParams, w: ParityVector) -> int:
     unique one whose members all share w.
     """
     return solve(equation_of_vector(p, w)).x0
+
+
+def _start_vector(p: MapParams, n: int,
+                  k: int) -> tuple[ParityVector, DiophantineEq, int]:
+    """The parity vector of n's first k steps, its equation and the
+    residue class mod 2**k it comes from."""
+    if k < 1:
+        raise ValueError("k must be >= 1: an empty vector has no equation")
+    w = parity_vector(p, n, k)
+    eq = equation_of_vector(p, w)
+    return w, eq, solve(eq).x0
 
 
 def classify(eq: DiophantineEq) -> Classification:

@@ -213,8 +213,8 @@ BAD_FLAGS = {
     "stopping-m": (("stopping", "--m", "6", "--n", "7"), "--m"),
     "stopping-n": (("stopping", "--n", "0"), "--n"),
     "stopping-cap": (("stopping", "--n", "7", "--cap", "0"), "--cap"),
-    "vector-k-negative": (("vector", "--n", "5", "--k", "-3"), "--k"),
-    "vector-k-zero": (("vector", "--n", "5", "--k", "0"), "vector must be non-empty"),
+    "vector-k-negative": (("vector", "--n", "5", "--k", "-3"), "--k must be >= 1"),
+    "vector-k-zero": (("vector", "--n", "5", "--k", "0"), "--k must be >= 1"),
     "cycles-m": (("cycles", "--m", "4", "--k-max", "5"), "--m"),
     "cycles-k-max-zero": (("cycles", "--k-max", "0"), "--k-max"),
     "cycles-k-max-bound": (("cycles", "--k-max", "29"), "--k-max"),
@@ -247,9 +247,9 @@ def test_density_streams_lines_as_columns_are_computed(monkeypatch, fmt):
     calls = [0]
     step = density.next_column
 
-    def counted(col):
+    def counted(col, below=0):
         calls[0] += 1
-        return step(col)
+        return step(col, below)
 
     class Stdout(io.StringIO):
         first_data_at = None
@@ -270,25 +270,58 @@ def test_density_streams_lines_as_columns_are_computed(monkeypatch, fmt):
     assert stdout.getvalue().count("\n") == HEADER_LINES[fmt] + 401
 
 
+def _run_script(script: str) -> subprocess.Popen:
+    src = os.path.dirname(os.path.dirname(mxplus1.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+
+
+# Makes every density run of a script split its band, however small.
+FORCE_SPLIT = "mxplus1.density._split_row = lambda lim, top: max(top // 2, 1)\n"
+
+
 def test_density_and_cycles_do_not_import_numpy():
     # Only the brute-force scans need numpy; the table and the cycle
-    # search run without loading it, in every output format.
+    # search run without loading it, in every output format and with a
+    # split band.  The import alone does not load multiprocessing either.
     script = (
         "import sys\n"
         "import mxplus1.cli\n"
+        "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
+        + FORCE_SPLIT +
         "for argv in (['density', '--m', '3', '--k-max', '60', '--format', 'json'],\n"
         "             ['density', '--m', '5', '--k-max', '60', '--format', 'table'],\n"
         "             ['cycles', '--m', '3', '--k-max', '10'],\n"
         "             ['cycles', '--m', '5', '--k-max', '10', '--format', 'json']):\n"
         "    assert mxplus1.cli.main(argv) == 0\n"
-        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "print('numpy' in sys.modules, 'multiprocessing' in sys.modules, file=sys.stderr)\n"
     )
-    src = os.path.dirname(os.path.dirname(mxplus1.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, check=True)
-    assert proc.stderr.strip() == "False"
+    proc = _run_script(script)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert err.decode().split() == ["False", "False", "True"]
+
+
+def test_density_into_a_closed_pipe_exits_141_quietly():
+    # `mxplus1 density ... | head`: once the reader is gone the run ends
+    # with the status a shell gives SIGPIPE, prints no traceback and
+    # leaves no stripe process behind.
+    script = (
+        "import multiprocessing, sys\n"
+        "import mxplus1.cli\n"
+        + FORCE_SPLIT +
+        "code = mxplus1.cli.main(['density', '--m', '3', '--k-max', '1000'])\n"
+        "print(code, multiprocessing.active_children(), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = _run_script(script)
+    assert proc.stdout.readline() == b"k,N,pow2k,shaded,F_new,F_terras,G\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (141, b"141 []\n")
 
 
 def test_every_public_name_resolves():

@@ -1,11 +1,17 @@
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mxplus1 import (GREATER, LESS, T3, T5, MapParams, binomial_reference,
-                     cmp_pow, density_series, initial_column, next_column)
+                     cmp_pow, density, density_series, initial_column, next_column)
+from mxplus1.bigmath import _coefficient_limits
 from mxplus1.density import MAX_SERIES_K, DensityColumn, _points
+from mxplus1.oracle import MAX_ORACLE_K
 
 # The m=3 table through k=10: nonzero rows, the cell zeroed per column,
 # and the totals row.
@@ -239,6 +245,85 @@ def test_point_generator_checks_on_call():
     for args in ((-1,), (MAX_SERIES_K + 1,), (10, 0)):
         with pytest.raises(ValueError):
             _points(T3, *args)
+
+
+def _band(m, k_max):
+    """The coefficient limits to k_max and the top row of the band."""
+    lim = _coefficient_limits(m, k_max)
+    return lim, max(lim[k_max] - 1, 0)
+
+
+@given(m=st.sampled_from([3, 5, 7, 9, 11]), k_max=st.integers(4, 400),
+       stride=st.integers(1, 9), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_split_series_equals_unsplit(m, k_max, stride, data):
+    # Cut at any row, the lower stripe in a second process, feeding its
+    # top row to the upper one here, gives the unsplit points.  No band
+    # this small splits by itself.
+    p = MapParams(m)
+    split = data.draw(st.integers(1, _band(m, k_max)[1]), label="split")
+    want = density_series(p, k_max, stride).points
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_split_row", lambda lim, top: split)
+        assert density_series(p, k_max, stride).points == want
+    assert multiprocessing.active_children() == []
+
+
+def _force_split(monkeypatch):
+    monkeypatch.setattr(density, "_split_row", lambda lim, top: top // 2)
+
+
+def test_closing_the_points_stops_the_stripe_process(monkeypatch):
+    _force_split(monkeypatch)
+    points = _points(T3, 400)
+    assert multiprocessing.active_children() == []
+    assert next(points).k == 0
+    assert len(multiprocessing.active_children()) == 1
+    points.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_stripe_process_raises_before_a_wrong_point(monkeypatch):
+    want = density_series(T3, 400).points
+    stripe = density._lower_stripe
+
+    class DiesAfterFirstBatch:
+        def __init__(self, conn):
+            self.conn = conn
+
+        def send(self, batch):
+            self.conn.send(batch)
+            os._exit(3)
+
+    monkeypatch.setattr(density, "_lower_stripe", lambda conn, *args:
+                        stripe(DiesAfterFirstBatch(conn), *args))
+    _force_split(monkeypatch)
+    got = []
+    with pytest.raises(RuntimeError, match="stripe process exited with code 3"):
+        got.extend(_points(T3, 400))
+    # the columns of the one batch sent come out right, and no later one
+    assert [pt.k for pt in got] == list(range(density._BATCH + 1))
+    assert got == want[:len(got)]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus,m,k_max", [(1, 3, 6000), (None, 5, 6000), (64, 3, 3000),
+                                          (64, 3, MAX_ORACLE_K)])
+def test_no_stripe_process_on_one_core_or_a_small_band(monkeypatch, cpus, m, k_max):
+    monkeypatch.setattr(density.os, "cpu_count", lambda: cpus)
+    lim, top = _band(m, k_max)
+    assert density._split_row(lim, top) == 0
+    points = _points(MapParams(m), k_max)
+    next(points)
+    assert multiprocessing.active_children() == []
+    points.close()
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_big_band_splits_where_its_cost_halves(monkeypatch, m):
+    monkeypatch.setattr(density.os, "cpu_count", lambda: 2)
+    lim, top = _band(m, 6000)
+    assert 0.78 < density._split_row(lim, top) / top < 0.80
 
 
 def test_binomial_reference_golden():
