@@ -17,24 +17,14 @@ def cmp_pow(m: int, i: int, k: int) -> int:
 
     m must be odd and >= 3, so m**i is a power of two only for i = 0;
     EQUAL is therefore possible only at i = k = 0.  The comparison is
-    done on exact integers (via the bit length of m**i), never floats.
+    done on exact integers, never floats.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"m must be an odd integer >= 3, got {m}")
     if i < 0 or k < 0:
         raise ValueError("exponents must be non-negative")
-    if i == 0:
-        return EQUAL if k == 0 else LESS
-    # 2**(B-1) <= m**i < 2**B for B = bit_length(m**i), and the lower
-    # bound is strict because m**i is odd, hence never a power of two.
-    # B lies in ((b-1)*i, b*i] for b = bit_length(m), so m**i itself is
-    # needed only for k inside that range.
-    b = m.bit_length()
-    if k <= (b - 1) * i:
-        return GREATER
-    if k >= b * i:
-        return LESS
-    return GREATER if (m**i).bit_length() > k else LESS
+    power, bound = m**i, 1 << k
+    return LESS if power < bound else GREATER if power > bound else EQUAL
 
 
 def _coefficient_limits(m: int, k: int) -> list[int]:

@@ -24,10 +24,6 @@ from .diophantine import _start_vector, classify, find_cycles
 from .trajectory import MapParams, StoppingTimeResult, _first_drops, iterate
 
 
-def _write(text: str, out: str | None) -> None:
-    _write_lines((text,), out)
-
-
 def _write_lines(lines: Iterable[str], out: str | None) -> None:
     if out is None:
         sys.stdout.writelines(lines)
@@ -68,20 +64,20 @@ def _cmd_oracle(args) -> int:
             f"discrepancy {rep.discrepancy}\n"
             f"match {'yes' if rep.matches_table else 'no'}\n"
         )
-    _write(text, args.out)
+    _write_lines((text,), args.out)
     return 0 if rep.matches_table else 1
 
 
 def _cmd_trajectory(args) -> int:
     traj = iterate(MapParams(args.m), args.n, args.k)
-    _write(" ".join(str(v) for v in traj.values) + "\n", args.out)
+    _write_lines((" ".join(str(v) for v in traj.values) + "\n",), args.out)
     return 0
 
 
 def _cmd_stopping(args) -> int:
     fc, fa = _first_drops(MapParams(args.m).m, args.n, args.cap)
     actual, coeff = (StoppingTimeResult(j or None, args.cap) for j in (fa, fc))
-    _write(f"actual: {actual}\ncoefficient: {coeff}\n", args.out)
+    _write_lines((f"actual: {actual}\ncoefficient: {coeff}\n",), args.out)
     return 0
 
 
@@ -95,7 +91,7 @@ def _cmd_vector(args) -> int:
         f"residue {r} mod {1 << args.k}\n"
         f"classification {kind}\n"
     )
-    _write(text, args.out)
+    _write_lines((text,), args.out)
     return 0
 
 
@@ -105,7 +101,7 @@ def _cmd_cycles(args) -> int:
         text = report.to_json(cycles, m=args.m)
     else:
         text = "".join(" ".join(str(v) for v in c.values) + "\n" for c in cycles)
-    _write(text, args.out)
+    _write_lines((text,), args.out)
     return 0
 
 
@@ -120,7 +116,7 @@ def _cmd_verify_periodicity(args) -> int:
         f"repetition {'ok' if repeats_ok else 'violated'}\n"
         f"{'PASS' if distinct_ok and repeats_ok else 'FAIL'}\n"
     )
-    _write(text, args.out)
+    _write_lines((text,), args.out)
     return 0 if distinct_ok and repeats_ok else 1
 
 

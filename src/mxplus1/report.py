@@ -1,7 +1,9 @@
 """Stable text serialization of series, cycles and oracle reports.
 
 Counts and powers of two are always written as exact decimal strings;
-they outgrow doubles long before the recursion slows down.  Floats are
+they outgrow doubles long before the recursion slows down.  csv and json
+carry N and 2**k as exact Decimals, so that a line costs time linear in
+its length, where str() of an int is quadratic.  Floats are
 rendered with 9 significant digits, switching to scientific notation
 below 0.1.  Output uses LF line endings throughout.  Each format is a
 generator of lines over any iterable of records, which the to_*
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Union
 
 from .density import DensityPoint, DensitySeries
 from .diophantine import Cycle
@@ -48,11 +50,39 @@ def _digits(n: int) -> str:
         return str(Decimal(n))
 
 
+def _count_digits() -> Callable[[DensityPoint], tuple[str, str, str]]:
+    """Maps each point of a series, in order, to the exact digits of its N,
+    2**k and shaded count, in linear time: 2**k is carried by 2**(k - k_prev),
+    N by N = 2 N_prev - shaded wherever the ints obey it (as consecutive
+    points of a series do), and otherwise converted afresh.  No carry can
+    round: the context holds MAX_PREC digits, trapping Inexact and Rounded."""
+    from decimal import MAX_PREC, Context, Decimal, Inexact, Rounded  # importing it costs every run
+    ctx = Context(prec=MAX_PREC, traps=[Inexact, Rounded])
+    two = Decimal(2)
+    prev = n = pow2 = None
+
+    def digits(pt: DensityPoint) -> tuple[str, str, str]:
+        nonlocal prev, n, pow2
+        shaded = _digits(pt.shaded_count)
+        if prev is not None and pt.k >= prev.k:
+            pow2 = ctx.multiply(pow2, ctx.power(two, pt.k - prev.k))
+        else:
+            pow2 = Decimal(_digits(1 << pt.k))
+        if prev is not None and pt.N == 2 * prev.N - pt.shaded_count:
+            n = ctx.subtract(ctx.add(n, n), Decimal(shaded))
+        else:
+            n = Decimal(_digits(pt.N))
+        prev = pt
+        return str(n), str(pow2), shaded
+
+    return digits
+
+
 def _csv_lines(points: Iterable[DensityPoint]) -> Iterator[str]:
     yield CSV_HEADER + "\n"
+    digits = _count_digits()
     for pt in points:
-        yield ",".join((str(pt.k), _digits(pt.N), _digits(1 << pt.k),
-                        _digits(pt.shaded_count), format_float(pt.F_new),
+        yield ",".join((str(pt.k), *digits(pt), format_float(pt.F_new),
                         format_float(pt.F_terras), format_float(pt.G))) + "\n"
 
 
@@ -60,56 +90,40 @@ def to_csv(series: DensitySeries) -> str:
     return "".join(_csv_lines(series.points))
 
 
-def _density_record(m: int, pt: DensityPoint, variant: str) -> dict:
-    return {
-        "k": pt.k,
-        "N": _digits(pt.N),
-        "pow2k": _digits(1 << pt.k),
-        "shaded": _digits(pt.shaded_count),
-        "F_new": pt.F_new,
-        "F_terras": pt.F_terras,
-        "G": pt.G,
-        "m": m,
-        "variant": variant,
-    }
-
-
-def _cycle_record(m: int, cycle: Cycle) -> dict:
-    return {"m": m, "length": cycle.length, "values": [str(v) for v in cycle.values]}
-
-
-def _oracle_record(rep: OracleReport) -> dict:
-    return {
-        "m": rep.m,
-        "k": rep.k,
-        "offset": rep.offset,
-        "table_N": str(rep.table_N),
-        "count_coefficient_gt": str(rep.count_coefficient_gt),
-        "count_coefficient_ge": str(rep.count_coefficient_ge),
-        "count_actual_gt": str(rep.count_actual_gt),
-        "discrepancy": rep.discrepancy,
-    }
-
-
 Record = Union[DensityPoint, Cycle, "OracleReport"]
 
 
 def _json_lines(records: Iterable[Record], m: int | None, variant: str) -> Iterator[str]:
+    digits = None
     for rec in records:
         if isinstance(rec, DensityPoint):
             if m is None:
                 raise ValueError("m is required to serialize density points")
-            obj = _density_record(m, rec, variant)
+            digits = digits or _count_digits()
+            # json.dumps writes only what follows head, never the long digit strings
+            head = '{{"k":{},"N":"{}","pow2k":"{}","shaded":"{}",'.format(rec.k, *digits(rec))
+            obj = {"F_new": rec.F_new, "F_terras": rec.F_terras, "G": rec.G,
+                   "m": m, "variant": variant}
         elif isinstance(rec, Cycle):
             if m is None:
                 raise ValueError("m is required to serialize cycles")
-            obj = _cycle_record(m, rec)
+            head, obj = "{", {"m": m, "length": rec.length,
+                              "values": [str(v) for v in rec.values]}
         else:
             from .oracle import OracleReport  # only here: it loads numpy
             if not isinstance(rec, OracleReport):
                 raise TypeError(f"cannot serialize {type(rec).__name__}")
-            obj = _oracle_record(rec)
-        yield json.dumps(obj, separators=(",", ":")) + "\n"
+            head, obj = "{", {
+                "m": rec.m,
+                "k": rec.k,
+                "offset": rec.offset,
+                "table_N": str(rec.table_N),
+                "count_coefficient_gt": str(rec.count_coefficient_gt),
+                "count_coefficient_ge": str(rec.count_coefficient_ge),
+                "count_actual_gt": str(rec.count_actual_gt),
+                "discrepancy": rec.discrepancy,
+            }
+        yield head + json.dumps(obj, separators=(",", ":"))[1:] + "\n"
 
 
 def to_json(records: Union[DensitySeries, Iterable[Record]], *, m: int | None = None,

@@ -4,9 +4,11 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mxplus1 import (Cycle, DensityPoint, DensitySeries, T3, count_window,
-                     density_series, find_cycles, to_csv, to_json, to_plot_data)
+from mxplus1 import (Cycle, DensityPoint, DensitySeries, MapParams, T3, count_window,
+                     density_series, find_cycles, report, to_csv, to_json, to_plot_data)
 from mxplus1.report import CSV_HEADER, format_float
 
 
@@ -127,3 +129,80 @@ def test_counts_past_the_int_str_digit_limit():
     assert row[:4] == [str(k)] + want
     rec = json.loads(to_json(series))
     assert [rec["N"], rec["pow2k"], rec["shaded"]] == want
+
+
+# The serializers carry N and 2**k in decimal instead of converting each
+# point's ints.  This reference converts every count with str() and dumps
+# every record whole, as the serializers did before the carry.
+
+def _reference(series: DensitySeries, variant: str = "both") -> tuple[str, str]:
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rows = [(pt, str(pt.N), str(1 << pt.k), str(pt.shaded_count)) for pt in series.points]
+    finally:
+        sys.set_int_max_str_digits(old)
+    csv_text = CSV_HEADER + "\n" + "".join(
+        ",".join((str(pt.k), n, pow2, shaded, format_float(pt.F_new),
+                  format_float(pt.F_terras), format_float(pt.G))) + "\n"
+        for pt, n, pow2, shaded in rows)
+    json_text = "".join(json.dumps(
+        {"k": pt.k, "N": n, "pow2k": pow2, "shaded": shaded, "F_new": pt.F_new,
+         "F_terras": pt.F_terras, "G": pt.G, "m": series.m, "variant": variant},
+        separators=(",", ":")) + "\n" for pt, n, pow2, shaded in rows)
+    return csv_text, json_text
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([3, 5, 7, 9, 11]), k_max=st.integers(0, 400),
+       stride=st.integers(1, 50), variant=st.sampled_from(["both", "terras", "new"]))
+def test_carried_counts_match_str_of_every_count(m, k_max, stride, variant):
+    series = density_series(MapParams(m), k_max, stride)
+    assert (to_csv(series), to_json(series, variant=variant)) == _reference(series, variant)
+
+
+def _chain(k0: int, shaded: list[int]) -> list[DensityPoint]:
+    """Consecutive points from k0 whose N obey N(k) = 2 N(k-1) - shaded(k)."""
+    points, n = [], (1 << k0) // 3 + 1
+    for k, s in enumerate(shaded, k0):
+        if k > k0:
+            n = 2 * n - s
+        points.append(DensityPoint(k=k, N=n, shaded_count=s, F_new=n / 2**k,
+                                   F_terras=(n + s) / 2**k, G=1 - n / 2**k))
+    return points
+
+
+def _shifted(pt: DensityPoint, dk: int = 0, dn: int = 0) -> DensityPoint:
+    return DensityPoint(pt.k + dk, pt.N + dn, pt.shaded_count, pt.F_new, pt.F_terras, pt.G)
+
+
+# k = 14 300 puts 2**k and N past CPython's 4300-digit limit on int -> str.
+DEEP = _chain(14_300, [0, 3**9000, 0, 5**6000 + 1, 7, 0])
+
+
+@pytest.mark.parametrize("points", [
+    DEEP,
+    DEEP[:3] + [_shifted(DEEP[3], dn=1)] + DEEP[4:],   # N off the identity by +1
+    DEEP[:2] + [_shifted(pt, dk=1) for pt in DEEP[2:]],  # k jumps by 2, N still obeys
+    [DEEP[2], DEEP[0], DEEP[1]],                        # k goes back, N does not obey
+    _chain(0, [0, 1, 0, 0, 1]) + _chain(10, [2, 0, 5]),
+], ids=["identity", "N-plus-1", "k-jump", "k-back", "small"])
+def test_carried_counts_past_the_digit_limit(points):
+    series = DensitySeries(m=3, points=points)
+    assert (to_csv(series), to_json(series)) == _reference(series)
+
+
+def test_carry_converts_only_the_first_n_and_2k_of_a_chain(monkeypatch):
+    # Past the first point, N and 2**k of a chain come from the carry:
+    # converting them from binary is what costs quadratic time.
+    converted, digits = [], report._digits
+
+    def spy(n: int) -> str:
+        converted.append(n)
+        return digits(n)
+
+    monkeypatch.setattr(report, "_digits", spy)
+    to_csv(DensitySeries(m=3, points=DEEP))
+    first = DEEP[0]
+    assert sorted(converted) == sorted([first.N, 1 << first.k]
+                                       + [pt.shaded_count for pt in DEEP])
