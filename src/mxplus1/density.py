@@ -9,32 +9,34 @@ consecutive powers of m are at least a factor 3 apart, at most one row
 can fail per column; its would-be value is the column's "shaded" count,
 the number of starts whose slope drops below 1 at exactly this k.
 
-Only the current column is kept in memory, so the recursion streams to
-large k.  Every entry is an exact integer; floats appear only in the
-emitted distribution values F = N / 2**k.
+next_column steps one whole column, summing its rows for N; it is the
+reference the series is tested against.  The series walks the table
+along its diagonals e = k - i instead, where the Pascal rule reads
+cell(i,e) = cell(i-1,e) + cell(i,e-1): diagonal e is a running sum of
+diagonal e - 1 over the rows still alive, and diagonal 0 is all ones,
+the all-odd start of each row.  Row i dies on the first diagonal e with
+m**i < 2**(i+e); its cell on diagonal e - 1 is its shaded count, at
+k = i + e.  Rows die in order of i, so the shaded counts come out in k
+order, each column's total from the doubling identity
+N(k) = 2*N(k-1) - shaded(k), and only one diagonal is held.  A series
+to k_max needs no row above the last one it can shade,
+i_top = max{i : m**i < 2**k_max}.
 
-A column may carry a row cap, top.  Row i depends only on rows i-1 and
-i of the column before, so rows above top never feed a row at or below
-it, and a series to k_max needs no row above the last one it can shade,
-i_top = max{i : m**i < 2**k_max}.  density_series keeps only that band;
-its totals come from the doubling identity N(k) = 2*N(k-1) - shaded(k)
-instead of a sum over the column.  Once row i_top is shaded the band is
-empty: every later column up to k_max shades nothing and N doubles.  An
-uncapped column keeps every row and sums them for N; it is the full
-reference the tests compare the band against.
+Only the current column or diagonal is kept in memory, so the recursion
+streams to large k.  Every entry is an exact integer; floats appear
+only in the emitted distribution values F = N / 2**k.
 
 With two cores a big band is cut at a row: a second process steps the
-lower stripe and feeds its top row, and its shaded counts, to the upper
-stripe stepped here.  At most one row shades per column, so a column's
-shaded count is the sum of the two stripes' and N still comes from the
-doubling identity.
+lower stripe along the same diagonals and feeds the upper stripe,
+stepped here, its top row and its shaded counts.  Both stripes have
+cells on diagonal 0, so both work from the first column.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from operator import add
 from typing import Iterator, NamedTuple
@@ -50,16 +52,12 @@ class ShadedCell(NamedTuple):
 
 @dataclass(frozen=True)
 class DensityColumn:
-    """One table column: contiguous nonzero rows i_min..min(k, top)
-    plus the cell zeroed at this k, if any.
+    """One table column: contiguous nonzero rows i_min..k, their exact
+    total N, and the cell zeroed at this k, if any.
 
-    top caps the stored rows; None keeps the whole column.  N is always
-    the exact total of the whole column: the sum of the rows when
-    uncapped, carried by the doubling identity when capped (the rows
-    above the cap are not stored, but they are not zero).  _m_pow is
-    m**i_min, carried so that the power test of the next column costs
-    one multiply each time i_min advances; 0 means not carried, and the
-    next column computes it.  It takes no part in ==.
+    _m_pow is m**i_min, carried so that the power test of the next
+    column costs one multiply each time i_min advances; 0 means not
+    carried, and the next column computes it.  It takes no part in ==.
     """
 
     m: int
@@ -68,12 +66,10 @@ class DensityColumn:
     rows: tuple[int, ...]
     shaded: ShadedCell | None
     N: int
-    top: int | None = None
     _m_pow: int = field(default=0, repr=False, compare=False)
 
     def row(self, i: int) -> int:
-        """Stored count for row i; zeroed, never-populated and unstored
-        rows above the cap read 0."""
+        """Count for row i; zeroed and never-populated rows read 0."""
         if self.i_min <= i < self.i_min + len(self.rows):
             return self.rows[i - self.i_min]
         return 0
@@ -121,55 +117,31 @@ def initial_column(p: MapParams) -> DensityColumn:
     return DensityColumn(m=p.m, k=0, i_min=0, rows=(1,), shaded=None, N=1)
 
 
-def next_column(col: DensityColumn, below: int = 0) -> DensityColumn:
+def next_column(col: DensityColumn) -> DensityColumn:
     """Advance the recursion by one column.
 
-    Candidate rows run from the old i_min up to the new k, or up to top
-    for a capped column; each candidate is the Pascal sum of its two
-    parents (absent parents read 0, so a new highest candidate equals
-    the old highest row, which in an uncapped column is the all-odd row
-    and stays 1 forever).  The lower parent of candidate i_min, row
-    i_min - 1 of the column before, is passed as below: it is zeroed or
-    absent, so 0, except for a stripe cut from the rows under it (see
-    _points).  Candidate i_min is then the only row that can fail the
+    Candidate rows run from the old i_min up to the new k; each is the
+    Pascal sum of its two parents (absent parents read 0, so the new
+    highest candidate equals the old highest row, the all-odd row, which
+    stays 1 forever).  Candidate i_min is the only row that can fail the
     exact power test m**i > 2**k: if it does, it becomes the shaded cell
-    and is dropped.
-
-    An uncapped column sums its rows for N, leaving the doubling
+    and is dropped.  N is the sum of the rows, which leaves the doubling
     identity N(k) = 2*N(k-1) - shaded(k) as an independent cross-check.
-    A capped column does not store every row, so it takes N from that
-    identity.  Once its band is empty it shades nothing and N doubles,
-    which holds only while row top + 1 still passes the power test; a
-    step past that point raises ValueError.
     """
     m = col.m
     k = col.k + 1
     old = col.rows
     i_min = col.i_min
     m_pow = col._m_pow or m**i_min
-    # m**i_min < 2**k exactly when its bit length is k at most (it is odd)
-    crossed = m_pow.bit_length() <= k
-    if not old and not below:
-        if crossed:
-            raise ValueError(f"row {i_min} above the band (top={col.top}) "
-                             f"would be shaded at k={k}")
-        return replace(col, k=k, shaded=None, N=2 * col.N)
-    cand = list(map(add, (below, *old), (*old, 0)))
-    if col.top is not None and i_min + len(old) > col.top:
-        cand.pop()
+    cand = list(map(add, (0, *old), (*old, 0)))
     shaded = None
-    if crossed:
-        if cand[0] > 0:
-            shaded = ShadedCell(row=i_min, count=cand[0])
-        cand = cand[1:]
+    # m**i_min < 2**k exactly when its bit length is k at most (it is odd)
+    if m_pow.bit_length() <= k:
+        shaded = ShadedCell(row=i_min, count=cand.pop(0))
         i_min += 1
         m_pow *= m
-    if col.top is None:
-        n = sum(cand)
-    else:
-        n = 2 * col.N - (shaded.count if shaded else 0)
     return DensityColumn(m=m, k=k, i_min=i_min, rows=tuple(cand),
-                         shaded=shaded, N=n, top=col.top, _m_pow=m_pow)
+                         shaded=shaded, N=sum(cand), _m_pow=m_pow)
 
 
 def _point(k: int, n: int, shaded: int) -> DensityPoint:
@@ -183,7 +155,7 @@ def _point(k: int, n: int, shaded: int) -> DensityPoint:
 # start and stop, multiprocessing's import included, and such a band
 # 0.5-0.7 s.
 SPLIT_MIN_COST = 5 * 10**9
-_BATCH = 64  # columns per message from the stripe process
+_BATCH = 64  # diagonals per message from the stripe process
 
 
 def _split_row(lim: list[int], top: int) -> int:
@@ -200,28 +172,51 @@ def _split_row(lim: list[int], top: int) -> int:
     return max(bisect_left(cum, cum[top] / 2), 1)
 
 
-def _lower_stripe(conn, parent_end, p: MapParams, split: int) -> None:
+def _diagonals(lim: list[int], lo: int, hi: int, fed: Iterator[tuple]) -> Iterator[tuple]:
+    """Step rows lo..hi - 1 of the band along the diagonals e = 1, 2, ...
+    until all are shaded.  fed gives, per diagonal, row lo - 1 on it
+    (the lower parent of row lo) and the shaded (k, count) pairs of the
+    rows under lo; each step yields the same for the rows under hi: row
+    hi - 1 on the diagonal, 0 once it is shaded, and the shaded pairs in
+    k order."""
+    diag = [1] * (hi - lo)  # diagonal 0: the all-odd start of each row
+    i = lo  # the first live row
+    e = 0
+    while diag:
+        e += 1
+        low, shaded = next(fed)
+        # rows die in order of i, on the first e with m**i < 2**(i + e)
+        dead = 0
+        while dead < len(diag) and lim[i + e + dead] > i + dead:
+            dead += 1
+        if dead:
+            shaded = [*shaded, *zip(range(i + e, i + e + dead), diag[:dead])]
+            i += dead
+            diag = diag[dead:]
+        if diag:
+            diag[0] += low
+            diag = list(accumulate(diag))
+        yield (diag[-1] if diag else 0), shaded
+
+
+def _lower_stripe(conn, parent_end, lim: list[int], split: int) -> None:
     """The stripe process: step rows 0..split - 1 until all are shaded,
-    and send, for each column k, row split - 1 of column k - 1 (the
-    lower parent of row split) and the stripe's shaded count at k, in
-    batches ending with None."""
+    and send the steps of _diagonals, in batches ending with None."""
     parent_end.close()  # else a parent that dies leaves send blocked
-    col = replace(initial_column(p), top=split - 1)
     batch = []
-    while col.rows:
-        below = col.row(split - 1)
-        col = next_column(col)
-        batch.append((below, col.shaded_count))
-        if len(batch) == _BATCH or not col.rows:
+    for step in _diagonals(lim, 0, split, repeat((0, ()))):
+        batch.append(step)
+        if len(batch) == _BATCH:
             conn.send(batch)
             batch = []
+    conn.send(batch)
     conn.send(None)
 
 
 def _points(p: MapParams, k_max: int, stride: int = 1) -> Iterator[DensityPoint]:
     """The points of density_series(p, k_max, stride), one at a time:
-    each column is computed when the next point is asked for, so a
-    caller that writes points as they come holds one column.  The
+    the diagonals are stepped when the next point is asked for, so a
+    caller that writes points as they come holds one diagonal.  The
     arguments are checked on the call, before the first point; the
     stripe process, if any, starts with the first point and stops when
     the generator is exhausted or closed."""
@@ -238,9 +233,7 @@ def _points(p: MapParams, k_max: int, stride: int = 1) -> Iterator[DensityPoint]
     split = _split_row(lim, top)
 
     def walk() -> Iterator[DensityPoint]:
-        col = replace(initial_column(p), top=top)
-        # per column: the lower parent of row split, the lower stripe's shaded count
-        fed = repeat((0, 0))
+        fed = repeat((0, ()))  # per diagonal: row split - 1, the lower stripe's shaded pairs
         proc = None
         if split:
             # The platform's default start method, as the oracle's pool:
@@ -251,18 +244,24 @@ def _points(p: MapParams, k_max: int, stride: int = 1) -> Iterator[DensityPoint]
             import multiprocessing  # only here: its import costs 38 ms
             conn, child = multiprocessing.Pipe()
             proc = multiprocessing.Process(target=_lower_stripe, daemon=True,
-                                           args=(child, conn, p, split))
+                                           args=(child, conn, lim, split))
             proc.start()
             child.close()
-            col = replace(col, i_min=split, rows=())  # rows split..top, none born yet
             fed = chain(chain.from_iterable(iter(conn.recv, None)), fed)
+
+        def shadings() -> Iterator[int]:  # the shaded count of k = 1, 2, ...
+            k = 0
+            for _, shaded in _diagonals(lim, split, lim[k_max], fed):
+                for k_i, count in shaded:
+                    yield from repeat(0, k_i - k - 1)
+                    yield count
+                    k = k_i
+            yield from repeat(0)
+
         n = 1
         try:
             yield _point(0, n, 0)
-            for k in range(1, k_max + 1):
-                below, shaded = next(fed)
-                col = next_column(col, below)
-                shaded += col.shaded_count
+            for k, shaded in zip(range(1, k_max + 1), shadings()):
                 n = 2 * n - shaded
                 if k % stride == 0 or k == k_max:
                     yield _point(k, n, shaded)

@@ -244,30 +244,35 @@ HEADER_LINES = {"csv": 1, "json": 0, "plot": 2, "table": 1}
 
 @pytest.mark.parametrize("fmt", list(HEADER_LINES))
 def test_density_streams_lines_as_columns_are_computed(monkeypatch, fmt):
-    calls = [0]
-    step = density.next_column
+    # The series walks the band's diagonals, the last of them the one on
+    # which row top = max{i : 3**i < 2**400} is shaded, at k = bits(3**top).
+    top = max(i for i in range(401) if 3**i < 2**400)
+    diagonals = (3**top).bit_length() - top
+    steps = [0]
+    diagonal_steps = density._diagonals
 
-    def counted(col, below=0):
-        calls[0] += 1
-        return step(col, below)
+    def counted(*args):
+        for step in diagonal_steps(*args):
+            steps[0] += 1
+            yield step
+
+    steps_at = []  # the steps taken when each line was written
 
     class Stdout(io.StringIO):
-        first_data_at = None
-
         def write(self, text):
-            n = super().write(text)
-            if self.first_data_at is None and self.getvalue().count("\n") > HEADER_LINES[fmt]:
-                self.first_data_at = calls[0]
-            return n
+            steps_at.extend([steps[0]] * text.count("\n"))
+            return super().write(text)
 
     stdout = Stdout()
-    monkeypatch.setattr(density, "next_column", counted)
+    monkeypatch.setattr(density, "_diagonals", counted)
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["density", "--m", "3", "--k-max", "400", "--every", "1",
                  "--format", fmt]) == 0
-    assert calls[0] == 400
-    assert stdout.first_data_at is not None and stdout.first_data_at < 400
-    assert stdout.getvalue().count("\n") == HEADER_LINES[fmt] + 401
+    assert steps[0] == diagonals
+    data_at = steps_at[HEADER_LINES[fmt]:]
+    assert len(data_at) == 401 and stdout.getvalue().count("\n") == len(steps_at)
+    # the first data line, and the one half-way, before the last step
+    assert data_at[0] < diagonals and data_at[200] < diagonals
 
 
 def _run_script(script: str) -> subprocess.Popen:

@@ -1,7 +1,7 @@
 import math
 import multiprocessing
 import os
-from dataclasses import replace
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -83,48 +83,17 @@ def test_row_accessor_reads_zero_outside():
     assert col.row(0) == 0
 
 
-def test_row_accessor_reads_zero_above_band():
-    full = _columns(T3, 10)[10]
-    col = replace(initial_column(T3), top=8)
-    for _ in range(10):
-        col = next_column(col)
-    assert (col.i_min, col.rows, col.N) == (7, (30, 25), full.N)
-    assert [col.row(i) for i in range(12)] == \
-        [full.row(i) for i in range(9)] + [0, 0, 0]
-
-
-def test_band_empties_before_k_max():
-    # i_top = 567 for m=3, k_max=900 (3**567 < 2**900 < 3**568); row 567
-    # is shaded at k=899, so column 900 has no rows left, shades nothing
-    # and only doubles N.  Column 901 would shade row 568, which the band
-    # never held.
-    assert cmp_pow(3, 567, 900) == LESS and cmp_pow(3, 568, 900) == GREATER
-    full = initial_column(T3)
-    col = replace(full, top=567)
-    for _ in range(900):
-        full = next_column(full)
-        col = next_column(col)
-        assert (col.N, col.shaded) == (full.N, full.shaded)
-        if col.k == 899:
-            assert col.rows == () and col.shaded.row == 567
-    assert (col.rows, col.shaded, col.i_min) == ((), None, 568)
-    with pytest.raises(ValueError):
-        next_column(col)
-
-
-@pytest.mark.parametrize("p,k,top", [(T3, 10, None), (T5, 300, 215)],
-                         ids=["m3-uncapped", "m5-capped"])
-def test_column_rebuilt_from_public_fields_steps_like_chained(p, k, top):
+@pytest.mark.parametrize("p,k", [(T3, 10)], ids=["m3-uncapped"])
+def test_column_rebuilt_from_public_fields_steps_like_chained(p, k):
     # A column carries no hidden state the next step needs: one rebuilt
     # from its public fields steps to the same columns as the chained
-    # one.  Row 215 is the last one m=5 shades by k=500.
-    assert cmp_pow(5, 215, 500) == LESS and cmp_pow(5, 216, 500) == GREATER
-    chained = replace(initial_column(p), top=top)
+    # one.
+    chained = initial_column(p)
     for _ in range(k):
         chained = next_column(chained)
     rebuilt = DensityColumn(m=chained.m, k=chained.k, i_min=chained.i_min,
                             rows=chained.rows, shaded=chained.shaded,
-                            N=chained.N, top=chained.top)
+                            N=chained.N)
     for _ in range(200):
         assert rebuilt == chained
         chained = next_column(chained)
@@ -132,12 +101,28 @@ def test_column_rebuilt_from_public_fields_steps_like_chained(p, k, top):
     assert rebuilt == chained
 
 
+def test_table3_golden_diagonals():
+    # Row r on diagonal e = k - r is the top row of the stripe of rows
+    # 0..r, read off every step until row r is shaded; diagonal 0 is
+    # all ones.  Rows die in order, so the i-th shaded pair is row i's.
+    lim = _coefficient_limits(3, 20)
+    cells = {(r, r): 1 for r in range(11)}
+    for r in range(11):
+        for e, (value, _) in enumerate(density._diagonals(lim, 0, r + 1, repeat((0, ()))), 1):
+            if value and r + e <= 10:
+                cells[r, r + e] = value
+    assert cells == {(i, k): v for k, rows in TABLE3_ROWS.items() for i, v in rows.items()}
+    steps = density._diagonals(lim, 0, 7, repeat((0, ())))
+    pairs = list(chain.from_iterable(shaded for _, shaded in steps))
+    assert {k: (i, count) for i, (k, count) in enumerate(pairs)} == TABLE3_SHADED
+
+
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
 def test_band_series_equals_full_chain(m):
     # The series keeps only the band and takes N from the doubling
     # identity; the uncapped chain keeps every row and sums them.  For
-    # many of these k_max (m=3: 3, 6, 9, ..., 900) the band empties
-    # before k_max.
+    # many of these k_max (m=3: 3, 6, 9, ..., 900) every row of the band
+    # is shaded before k_max, and the later columns only double N.
     p = MapParams(m)
     col = initial_column(p)
     ref = []
@@ -258,7 +243,8 @@ def _band(m, k_max):
 @settings(max_examples=40, deadline=None)
 def test_split_series_equals_unsplit(m, k_max, stride, data):
     # Cut at any row, the lower stripe in a second process, feeding its
-    # top row to the upper one here, gives the unsplit points.  No band
+    # top row to the upper one here, gives the unsplit points, and both
+    # give the uncapped column chain's totals and shaded counts.  No band
     # this small splits by itself.
     p = MapParams(m)
     split = data.draw(st.integers(1, _band(m, k_max)[1]), label="split")
@@ -267,6 +253,9 @@ def test_split_series_equals_unsplit(m, k_max, stride, data):
         mp.setattr(density, "_split_row", lambda lim, top: split)
         assert density_series(p, k_max, stride).points == want
     assert multiprocessing.active_children() == []
+    assert [(pt.k, pt.N, pt.shaded_count) for pt in want] == \
+        [(col.k, col.N, col.shaded_count) for col in _columns(p, k_max)
+         if col.k % stride == 0 or col.k == k_max]
 
 
 def _force_split(monkeypatch):
@@ -301,8 +290,13 @@ def test_dead_stripe_process_raises_before_a_wrong_point(monkeypatch):
     got = []
     with pytest.raises(RuntimeError, match="stripe process exited with code 3"):
         got.extend(_points(T3, 400))
-    # the columns of the one batch sent come out right, and no later one
-    assert [pt.k for pt in got] == list(range(density._BATCH + 1))
+    # Row i is shaded at k = bits(3**i), on diagonal k - i.  The points
+    # come out right up to the last k the one batch sent shades, and end
+    # before the first k whose shaded count needs a lost diagonal.
+    shaded_at = {i: (3**i).bit_length() for i in range(_band(3, 400)[1] // 2)}
+    last_sent = max(k for i, k in shaded_at.items() if k - i <= density._BATCH)
+    first_lost = min(k for i, k in shaded_at.items() if k - i > density._BATCH)
+    assert last_sent <= got[-1].k < first_lost
     assert got == want[:len(got)]
     assert multiprocessing.active_children() == []
 
