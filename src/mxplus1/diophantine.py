@@ -5,7 +5,7 @@ b * T^(k)(n) = a * n + c into the two-unknown equation c = b*y - a*x
 with a = m**k2 and b = 2**k coprime.  This module solves that equation,
 whose least non-negative x is the residue class generating the vector,
 classifies vectors as rising or falling by comparing a with b, and hunts
-for cycles via the fixed-point condition x = c / (b - a).
+for cycles via the fixed point x = c / (b - a) of each Lyndon word.
 """
 
 from __future__ import annotations
@@ -137,66 +137,67 @@ def cycle_candidate(p: MapParams, w: ParityVector) -> int | None:
     return eq.c // d
 
 
-def _canonical_rotation(values: list[int]) -> tuple[int, ...]:
+def _close_cycle(p: MapParams, x: int, k_max: int) -> tuple[int, ...]:
+    """The cycle through x, from its element of least magnitude (ties
+    toward the smaller)."""
+    values = [x]
+    while (v := step(p, values[-1])) != x:
+        values.append(v)
+        if len(values) > k_max:
+            raise RuntimeError(f"candidate {x} failed to close within {k_max} steps")
     pivot = min(range(len(values)), key=lambda t: (abs(values[t]), values[t]))
     return tuple(values[pivot:] + values[:pivot])
 
 
-def _close_cycle(p: MapParams, x: int, k_max: int) -> tuple[int, ...]:
-    values = [x]
-    v = step(p, x)
-    while v != x:
-        values.append(v)
-        v = step(p, v)
-        if len(values) > k_max:
-            raise RuntimeError(f"candidate {x} failed to close within {k_max} steps")
-    return _canonical_rotation(values)
+def _expand(m: int, pow_m: list[int], level: list[tuple[int, int, int, int]],
+            depth: int, stop: int, candidates: set[int]) -> list[tuple[int, int, int, int]]:
+    """Expand the binary prenecklaces in `level` from length `depth` to
+    `stop`, one length at a time, and return the last level.
 
-
-def _expand(m: int, pow_m: list[int], groups: list[list[int]], k2: int,
-            depth: int, stop: int, candidates: set[int]) -> list[list[int]]:
-    """Expand the parity-vector tree from `depth` to `stop`, one level at
-    a time, and return the last level.
-
-    groups[i] holds the offset numerators c of the nodes with k2 + i odd
-    steps; a node at depth j has slope a = m**(k2 + i) over b = 2**j,
-    and each integral fixed point c / (b - a) is added to candidates.
+    A node (c, k2, period, bits) holds step j in bit j (bit 0 is a 0
+    before the word), k2 odd steps, the offset numerator c and the length
+    of its longest Lyndon prefix.  A child copies the bit `period` places
+    back; where that bit is 0 the word may also take a 1, and is then a
+    Lyndon word of its length t (Fredricksen, Kessler and Maiorana), whose
+    integral fixed point c / (2**t - m**k2) is added to candidates.
     """
-    for j in range(depth + 1, stop + 1):
-        pw = 1 << (j - 1)
-        raised = [[m * x + pw for x in cs] for cs in groups]
-        groups = [even + odd for even, odd in zip(groups + [[]], [[]] + raised)]
-        for i, cs in enumerate(groups):
-            d = (1 << j) - pow_m[k2 + i]  # even minus odd, never 0
-            candidates.update(x // d for x in cs if x % d == 0)
-    return groups
+    for t in range(depth + 1, stop + 1):
+        pw, bit, nxt = 1 << (t - 1), 1 << t, []
+        for node in level:
+            c, k2, period, bits = node
+            c, k2 = m * c + pw, k2 + 1
+            if bits >> (t - period) & 1:
+                nxt.append((c, k2, period, bits | bit))
+            else:
+                nxt += node, (c, k2, t, bits | bit)
+                d = bit - pow_m[k2]  # even minus odd, never 0
+                if c % d == 0:
+                    candidates.add(c // d)
+        level = nxt
+    return level
 
 
 def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
     """All cycles whose parity vector has length at most k_max.
 
-    Walks the full binary tree of parity vectors once, carrying the
-    offset numerator c and the odd-step count k2 incrementally (the
-    slope numerator a = m**k2 depends on k2 alone), and takes every
-    integral fixed point as a candidate; candidates are closed by
-    iteration, rotated to canonical form and deduplicated.  The same
-    cycle is hit from every rotation and every whole multiple of its
-    period, so deduplication is essential.  Sorted by (length, start).
+    A cycle's vector is primitive: were it u repeated, the map of u would
+    share its unique fixed point, and the cycle would be |u| steps long.
+    So exactly one rotation of it is a Lyndon word, whose integral fixed
+    point is an element of the cycle.  These candidates are closed by
+    iteration and rotated to canonical form.  Sorted by (length, start).
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
     if k_max > MAX_CYCLE_SEARCH_K:
         raise ValueError(
             f"k_max={k_max} exceeds the enumeration budget ({MAX_CYCLE_SEARCH_K})")
-    m = p.m
-    pow_m = [m**q for q in range(k_max + 1)]
-    candidates: set[int] = set()
-    # The tree is expanded level by level once from the root to `top`,
-    # then once from each node at that depth down to k_max, so no level
-    # holds more than 2**max(top, _SUBTREE_DEPTH) values.
+    pow_m = [p.m**q for q in range(k_max + 1)]
+    candidates = {0}  # from 0, the one Lyndon word that does not end in 1
+    # The tree is expanded level by level once from the empty word to
+    # `top`, then once from each node at that depth down to k_max, so no
+    # level holds more than 2**max(top, _SUBTREE_DEPTH) nodes.
     top = max(k_max - _SUBTREE_DEPTH, 0)
-    for k2, cs in enumerate(_expand(m, pow_m, [[0]], 0, 0, top, candidates)):
-        for c in cs:
-            _expand(m, pow_m, [[c]], k2, top, k_max, candidates)
+    for node in _expand(p.m, pow_m, [(0, 0, 1, 0)], 0, top, candidates):
+        _expand(p.m, pow_m, [node], top, k_max, candidates)
     canon = {_close_cycle(p, x, k_max) for x in candidates}
     return [Cycle(v) for v in sorted(canon, key=lambda v: (len(v), v[0]))]
