@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import add
 from typing import Iterator, NamedTuple
@@ -53,12 +53,7 @@ class ShadedCell(NamedTuple):
 @dataclass(frozen=True)
 class DensityColumn:
     """One table column: contiguous nonzero rows i_min..k, their exact
-    total N, and the cell zeroed at this k, if any.
-
-    _m_pow is m**i_min, carried so that the power test of the next
-    column costs one multiply each time i_min advances; 0 means not
-    carried, and the next column computes it.  It takes no part in ==.
-    """
+    total N, and the cell zeroed at this k, if any."""
 
     m: int
     k: int
@@ -66,7 +61,6 @@ class DensityColumn:
     rows: tuple[int, ...]
     shaded: ShadedCell | None
     N: int
-    _m_pow: int = field(default=0, repr=False, compare=False)
 
     def row(self, i: int) -> int:
         """Count for row i; zeroed and never-populated rows read 0."""
@@ -132,16 +126,14 @@ def next_column(col: DensityColumn) -> DensityColumn:
     k = col.k + 1
     old = col.rows
     i_min = col.i_min
-    m_pow = col._m_pow or m**i_min
     cand = list(map(add, (0, *old), (*old, 0)))
     shaded = None
     # m**i_min < 2**k exactly when its bit length is k at most (it is odd)
-    if m_pow.bit_length() <= k:
+    if (m**i_min).bit_length() <= k:
         shaded = ShadedCell(row=i_min, count=cand.pop(0))
         i_min += 1
-        m_pow *= m
     return DensityColumn(m=m, k=k, i_min=i_min, rows=tuple(cand),
-                         shaded=shaded, N=sum(cand), _m_pow=m_pow)
+                         shaded=shaded, N=sum(cand))
 
 
 def _point(k: int, n: int, shaded: int) -> DensityPoint:

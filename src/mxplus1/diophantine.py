@@ -68,7 +68,6 @@ class Cycle:
 
 
 MAX_CYCLE_SEARCH_K = 28
-_SUBTREE_DEPTH = 12
 
 
 def solve(eq: DiophantineEq) -> DiophantineSolution:
@@ -149,32 +148,31 @@ def _close_cycle(p: MapParams, x: int, k_max: int) -> tuple[int, ...]:
     return tuple(values[pivot:] + values[:pivot])
 
 
-def _expand(m: int, pow_m: list[int], level: list[tuple[int, int, int, int]],
-            depth: int, stop: int, candidates: set[int]) -> list[tuple[int, int, int, int]]:
-    """Expand the binary prenecklaces in `level` from length `depth` to
-    `stop`, one length at a time, and return the last level.
+def _walk(m: int, pow_m: list[int], k_max: int, found: set[int],
+          t: int, c: int, k2: int, period: int, bits: int) -> None:
+    """Depth first, add to found the integral fixed points of the Lyndon
+    words among the prenecklaces of length t..k_max that extend a word.
 
-    A node (c, k2, period, bits) holds step j in bit j (bit 0 is a 0
-    before the word), k2 odd steps, the offset numerator c and the length
-    of its longest Lyndon prefix.  A child copies the bit `period` places
-    back; where that bit is 0 the word may also take a 1, and is then a
-    Lyndon word of its length t (Fredricksen, Kessler and Maiorana), whose
-    integral fixed point c / (2**t - m**k2) is added to candidates.
+    The word, of length t - 1, holds step j in bit j (bit 0 is a 0
+    before it), k2 odd steps, the offset numerator c and the length
+    `period` of its longest Lyndon prefix.  Its child of length t copies
+    the bit `period` places back, and the loop goes on with it.  Where
+    that bit is 0 the word may also take a 1 and is then a Lyndon word of
+    length t (Fredricksen, Kessler and Maiorana): its fixed point
+    c / (2**t - m**k2) is tested here, and one recursive call walks its
+    extensions, so at most k_max + 1 calls are ever on the stack.
     """
-    for t in range(depth + 1, stop + 1):
-        pw, bit, nxt = 1 << (t - 1), 1 << t, []
-        for node in level:
-            c, k2, period, bits = node
-            c, k2 = m * c + pw, k2 + 1
-            if bits >> (t - period) & 1:
-                nxt.append((c, k2, period, bits | bit))
-            else:
-                nxt += node, (c, k2, t, bits | bit)
-                d = bit - pow_m[k2]  # even minus odd, never 0
-                if c % d == 0:
-                    candidates.add(c // d)
-        level = nxt
-    return level
+    while t <= k_max:
+        bit = 1 << t
+        c1 = m * c + (bit >> 1)
+        if bits >> (t - period) & 1:
+            c, k2, bits = c1, k2 + 1, bits | bit
+        else:
+            d = bit - pow_m[k2 + 1]  # even minus odd, never 0
+            if c1 % d == 0:
+                found.add(c1 // d)
+            _walk(m, pow_m, k_max, found, t + 1, c1, k2 + 1, t, bits | bit)
+        t += 1
 
 
 def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
@@ -183,8 +181,9 @@ def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
     A cycle's vector is primitive: were it u repeated, the map of u would
     share its unique fixed point, and the cycle would be |u| steps long.
     So exactly one rotation of it is a Lyndon word, whose integral fixed
-    point is an element of the cycle.  These candidates are closed by
-    iteration and rotated to canonical form.  Sorted by (length, start).
+    point is an element of the cycle.  One depth-first _walk collects
+    these candidates; each is closed by iteration and rotated to
+    canonical form.  Sorted by (length, start).
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
@@ -193,11 +192,6 @@ def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
             f"k_max={k_max} exceeds the enumeration budget ({MAX_CYCLE_SEARCH_K})")
     pow_m = [p.m**q for q in range(k_max + 1)]
     candidates = {0}  # from 0, the one Lyndon word that does not end in 1
-    # The tree is expanded level by level once from the empty word to
-    # `top`, then once from each node at that depth down to k_max, so no
-    # level holds more than 2**max(top, _SUBTREE_DEPTH) nodes.
-    top = max(k_max - _SUBTREE_DEPTH, 0)
-    for node in _expand(p.m, pow_m, [(0, 0, 1, 0)], 0, top, candidates):
-        _expand(p.m, pow_m, [node], top, k_max, candidates)
+    _walk(p.m, pow_m, k_max, candidates, 1, 0, 0, 1, 0)
     canon = {_close_cycle(p, x, k_max) for x in candidates}
     return [Cycle(v) for v in sorted(canon, key=lambda v: (len(v), v[0]))]

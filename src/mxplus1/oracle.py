@@ -31,7 +31,7 @@ from .trajectory import MapParams, _first_drops
 
 MAX_ORACLE_K = 26
 MAX_PERIODICITY_K = 20
-_DEFAULT_CHUNK = 1 << 16
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -255,8 +255,8 @@ def periodicity_window(p: MapParams, k: int, start: int) -> tuple[int, bool]:
     seen = np.zeros(width, dtype=bool)
     repeats_ok = True
     end = start + width
-    for lo in range(start, end, _DEFAULT_CHUNK):
-        size = min(lo + _DEFAULT_CHUNK, end) - lo
+    for lo in range(start, end, _CHUNK):
+        size = min(lo + _CHUNK, end) - lo
         codes = _parity_codes(p.m, k, lo, size)
         seen[codes] = True
         repeats_ok = repeats_ok and np.array_equal(
@@ -268,8 +268,8 @@ def _scan_chunk(args: tuple[int, int, int, int]):
     return _scan_limbs(*args)
 
 
-def _scan_window(p: MapParams, k: int, offset: int, jobs: int,
-                 chunk_size: int) -> tuple[int, int, int, list[int]]:
+def _scan_window(p: MapParams, k: int, offset: int,
+                 jobs: int) -> tuple[int, int, int, list[int]]:
     """Validate, scan [offset, offset + 2**k) chunk by chunk and sum the
     chunks' (gt, ge, agt, mismatches); chunks come back in order, so
     the mismatches stay increasing."""
@@ -281,11 +281,9 @@ def _scan_window(p: MapParams, k: int, offset: int, jobs: int,
         raise ValueError("offset must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     end = offset + (1 << k)
-    tasks = [(p.m, k, start, min(start + chunk_size, end))
-             for start in range(offset, end, chunk_size)]
+    tasks = [(p.m, k, start, min(start + _CHUNK, end))
+             for start in range(offset, end, _CHUNK)]
     # no more workers than chunks or cores: a pool starts all of them
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:
@@ -303,26 +301,26 @@ def _scan_window(p: MapParams, k: int, offset: int, jobs: int,
     return gt, ge, agt, mismatches
 
 
-def count_window(p: MapParams, k: int, offset: int = 1, *, jobs: int = 1,
-                 chunk_size: int = _DEFAULT_CHUNK) -> OracleReport:
+def count_window(p: MapParams, k: int, offset: int = 1, *,
+                 jobs: int = 1) -> OracleReport:
     """Tally one window of 2**k starts and pull the table total for k.
 
     The window is [offset, offset + 2**k); any offset gives the same
     counts because a window of width 2**k meets every residue class
     mod 2**k exactly once.
     """
-    gt, ge, agt, _ = _scan_window(p, k, offset, jobs, chunk_size)
+    gt, ge, agt, _ = _scan_window(p, k, offset, jobs)
     table_n = density_series(p, k, k).points[-1].N
     return OracleReport(m=p.m, k=k, offset=offset, table_N=table_n,
                         count_coefficient_gt=gt, count_coefficient_ge=ge,
                         count_actual_gt=agt)
 
 
-def discrepancy_scan(p: MapParams, k: int, offset: int = 1, *, jobs: int = 1,
-                     chunk_size: int = _DEFAULT_CHUNK) -> list[int]:
+def discrepancy_scan(p: MapParams, k: int, offset: int = 1, *,
+                     jobs: int = 1) -> list[int]:
     """Every n in the window where the two survival notions disagree,
     i.e. (actual drop within k) differs from (coefficient drop within k),
     in increasing order.  A coefficient drop is necessary for an actual
     drop, so each listed n survives k steps in value while its slope
     has already dipped below 1."""
-    return _scan_window(p, k, offset, jobs, chunk_size)[3]
+    return _scan_window(p, k, offset, jobs)[3]

@@ -10,7 +10,7 @@ from mxplus1 import (Classification, DiophantineEq, MapParams, ParityVector,
                      T3, T5, classify, cycle_candidate, equation_of_vector,
                      find_cycles, iterate, parity_vector, residue_of_vector,
                      solve, step)
-from mxplus1.diophantine import _expand
+from mxplus1 import diophantine
 
 
 def _vec(bits):
@@ -129,32 +129,40 @@ def _reference_cycles(p, k_max):
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 2**40 + 1])
 def test_find_cycles_matches_vector_enumeration(m):
-    # k_max runs past the depth below which subtrees are expanded level
-    # by level, so both the node-by-node walk and the batches are covered.
+    # At k_max = 14 the walk's recursion nests up to 15 calls deep.
     p = MapParams(m)
     for k_max in range(1, 15):
         assert [c.values for c in find_cycles(p, k_max)] == _reference_cycles(p, k_max)
 
 
-def test_find_cycles_memory_is_bounded_by_the_subtree_split():
-    # Split at _SUBTREE_DEPTH it peaks near 0.6 MB, unsplit near 5 MB.
+def test_find_cycles_memory_is_bounded_by_k_max():
+    # The depth-first walk holds at most k_max + 1 calls: about 4 KB.
     tracemalloc.start()
     try:
         find_cycles(T3, 18)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 64 << 10
 
 
-def _lyndon_levels(m, k_max):
-    """(t, Lyndon nodes of length t) for t = 1..k_max, expanded from
-    the empty word one length at a time."""
-    pow_m = [m**q for q in range(k_max + 1)]
-    level = [(0, 0, 1, 0)]
+def _lyndon_levels(monkeypatch, m, k_max):
+    """(t, Lyndon nodes of length t) for t = 1..k_max, recorded by a spy
+    on diophantine._walk: every call below the root starts one Lyndon
+    word, of length `period`.  The seed word 0 is walked by the root."""
+    walk, calls = diophantine._walk, []
+
+    def spy(m, pow_m, k_max, found, t, c, k2, period, bits):
+        calls.append((c, k2, period, bits))
+        walk(m, pow_m, k_max, found, t, c, k2, period, bits)
+
+    monkeypatch.setattr(diophantine, "_walk", spy)
+    find_cycles(MapParams(m), k_max)
+    levels = {1: [(0, 0, 1, 0)]}
+    for node in calls[1:]:
+        levels.setdefault(node[2], []).append(node)
     for t in range(1, k_max + 1):
-        level = _expand(m, pow_m, level, t - 1, t, set())
-        yield t, [node for node in level if node[2] == t]
+        yield t, levels.get(t, [])
 
 
 def _moebius(n):
@@ -169,9 +177,9 @@ def _moebius(n):
     return -mu if n > 1 else mu
 
 
-def test_expansion_tests_exactly_the_lyndon_words():
+def test_expansion_tests_exactly_the_lyndon_words(monkeypatch):
     # A node holds step j in bit j of its bits; c and k2 are checked too.
-    for t, nodes in _lyndon_levels(5, 14):
+    for t, nodes in _lyndon_levels(monkeypatch, 5, 14):
         words = [tuple(bits >> j & 1 for j in range(1, t + 1)) for *_, bits in nodes]
         want = {w for w in itertools.product((0, 1), repeat=t)
                 if all(w < w[r:] + w[:r] for r in range(1, t))}
@@ -181,8 +189,8 @@ def test_expansion_tests_exactly_the_lyndon_words():
             assert (c, 5**k2, 1 << t) == (eq.c, eq.a, eq.b)
 
 
-def test_expansion_counts_lyndon_words_by_moreau():
-    for t, nodes in _lyndon_levels(3, 20):
+def test_expansion_counts_lyndon_words_by_moreau(monkeypatch):
+    for t, nodes in _lyndon_levels(monkeypatch, 3, 20):
         count, r = divmod(sum(_moebius(d) << (t // d)
                               for d in range(1, t + 1) if t % d == 0), t)
         assert r == 0 and len(nodes) == count

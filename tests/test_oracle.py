@@ -59,22 +59,24 @@ def test_window_invariance_three_offsets():
     # so only the vector-determined tallies are asserted here.
 
 
-def test_partition_determinism():
-    base = count_window(T3, 10, chunk_size=1 << 18)
+def test_partition_determinism(monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK", 1 << 18)
+    base = count_window(T3, 10)
     for chunk in (7, 100, 1000, 1 << 9):
-        rep = count_window(T3, 10, chunk_size=chunk)
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        rep = count_window(T3, 10)
         assert (rep.count_coefficient_gt, rep.count_coefficient_ge,
                 rep.count_actual_gt) == (base.count_coefficient_gt,
                                          base.count_coefficient_ge,
                                          base.count_actual_gt)
 
 
-def test_jobs_bit_identical():
-    seq = count_window(T3, 12, jobs=1, chunk_size=512)
-    par = count_window(T3, 12, jobs=4, chunk_size=512)
+def test_jobs_bit_identical(monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK", 512)
+    seq = count_window(T3, 12, jobs=1)
+    par = count_window(T3, 12, jobs=4)
     assert seq == par
-    assert discrepancy_scan(T3, 12, jobs=4, chunk_size=512) == \
-        discrepancy_scan(T3, 12, jobs=1, chunk_size=512)
+    assert discrepancy_scan(T3, 12, jobs=4) == discrepancy_scan(T3, 12, jobs=1)
 
 
 class _RecordingPool:
@@ -101,16 +103,17 @@ def test_worker_count_capped(monkeypatch, cpus):
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    seq = count_window(T3, 12, jobs=1, chunk_size=512)
+    monkeypatch.setattr(oracle, "_CHUNK", 512)
+    seq = count_window(T3, 12, jobs=1)
     # 8 chunks: the pool gets no more workers than chunks or cores
-    assert count_window(T3, 12, jobs=5000, chunk_size=512) == seq
-    assert discrepancy_scan(T3, 12, jobs=3, chunk_size=512) == \
-        discrepancy_scan(T3, 12, jobs=1, chunk_size=512)
+    assert count_window(T3, 12, jobs=5000) == seq
+    assert discrepancy_scan(T3, 12, jobs=3) == discrepancy_scan(T3, 12, jobs=1)
     cores = cpus or 1
     expected = [n for n in (min(8, cores), min(3, cores)) if n > 1]
     assert _RecordingPool.sizes == expected
     # a one-chunk window never starts a pool
-    count_window(T3, 12, jobs=5000, chunk_size=1 << 12)
+    monkeypatch.setattr(oracle, "_CHUNK", 1 << 12)
+    count_window(T3, 12, jobs=5000)
     assert _RecordingPool.sizes == expected
 
 
@@ -179,7 +182,7 @@ def test_coefficient_limits_against_cmp_pow(m):
 
 
 @pytest.mark.parametrize("m,k", [(3, 10), (5, 10), (7, 8)])
-def test_window_across_int64_bound(m, k):
+def test_window_across_int64_bound(monkeypatch, m, k):
     # The first chunks of this window end below the int64 bound and run
     # on one limb per value, the later ones end above it and run on two;
     # the tallies must be the exact scan's and the near window's.
@@ -188,12 +191,13 @@ def test_window_across_int64_bound(m, k):
     assert _limb_count(m, k, offset + chunk, _limb_width(m)) == 1
     assert _limb_count(m, k, offset + (1 << k), _limb_width(m)) == 2
     p = MapParams(m)
-    far = count_window(p, k, offset, chunk_size=chunk)
+    near = count_window(p, k, 1)
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    far = count_window(p, k, offset)
     gt, ge, agt, mism = _scan_exact(m, k, offset, offset + (1 << k))
     assert (far.count_coefficient_gt, far.count_coefficient_ge,
             far.count_actual_gt) == (gt, ge, agt)
-    assert discrepancy_scan(p, k, offset, chunk_size=chunk) == mism
-    near = count_window(p, k, 1)
+    assert discrepancy_scan(p, k, offset) == mism
     assert far.count_coefficient_gt == near.count_coefficient_gt == near.table_N
     assert far.count_coefficient_ge == near.count_coefficient_ge
 
@@ -256,11 +260,7 @@ def test_validation():
     with pytest.raises(ValueError):
         count_window(T3, 5, 1, jobs=0)
     with pytest.raises(ValueError):
-        count_window(T3, 5, 1, chunk_size=0)
-    with pytest.raises(ValueError):
         discrepancy_scan(T3, 27)
-    with pytest.raises(ValueError, match="chunk_size must be positive"):
-        discrepancy_scan(T3, 5, 1, chunk_size=0)
 
 
 def test_generalizes_to_other_multipliers():
@@ -295,7 +295,7 @@ def test_periodicity_window_equals_parity_code_loop(m, k, start):
     want = _periodicity_by_loop(m, k, start)
     assert want == (1 << k, True)
     for chunk in (1 << 16, 7, (1 << k) // 2 + 1):
-        with mock.patch.object(oracle, "_DEFAULT_CHUNK", chunk):
+        with mock.patch.object(oracle, "_CHUNK", chunk):
             assert periodicity_window(MapParams(m), k, start) == want
 
 
@@ -309,7 +309,7 @@ def test_periodicity_window_across_int64_bound(m, k):
     assert _limb_count(m, k, start + chunk, _limb_width(m)) == 1
     assert _limb_count(m, k, start + width, _limb_width(m)) == 2
     want = _periodicity_by_loop(m, k, start)
-    with mock.patch.object(oracle, "_DEFAULT_CHUNK", chunk):
+    with mock.patch.object(oracle, "_CHUNK", chunk):
         assert periodicity_window(MapParams(m), k, start) == want == (width, True)
 
 
