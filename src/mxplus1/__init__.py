@@ -15,9 +15,8 @@ from .diophantine import (Classification, Cycle, DiophantineEq,
                           equation_of_vector, find_cycles, residue_of_vector,
                           solve)
 from .report import to_csv, to_json, to_plot_data
-from .trajectory import (AffineForm, MapParams, ParityVector,
-                         StoppingTimeResult, T3, T5, Trajectory,
-                         affine_of_vector, iterate, parity_vector, step,
+from .trajectory import (MapParams, ParityVector, StoppingTimeResult, T3,
+                         T5, Trajectory, iterate, parity_vector, step,
                          stopping_time_actual, stopping_time_coefficient)
 
 __version__ = "0.1.0"
@@ -31,12 +30,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "AffineForm", "Classification", "Cycle", "DensityColumn", "DensityPoint",
+    "Classification", "Cycle", "DensityColumn", "DensityPoint",
     "DensitySeries", "DiophantineEq", "DiophantineSolution", "EQUAL",
     "GREATER", "LESS", "MapParams", "OracleReport", "ParityVector",
     "ShadedCell", "StoppingTimeResult", "T3", "T5", "Trajectory",
-    "affine_of_vector", "binomial_reference", "classify", "cmp_pow",
-    "count_window", "cycle_candidate", "density_series", "discrepancy_scan",
+    "binomial_reference", "classify", "cmp_pow", "count_window",
+    "cycle_candidate", "density_series", "discrepancy_scan",
     "equation_of_vector", "find_cycles", "initial_column", "iterate",
     "next_column", "parity_vector", "periodicity_window", "ratio_to_float",
     "residue_of_vector", "solve", "step", "stopping_time_actual",

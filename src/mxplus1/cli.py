@@ -28,7 +28,11 @@ def _write_lines(lines: Iterable[str], out: str | None) -> None:
     if out is None:
         sys.stdout.writelines(lines)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:  # a usage error: the path, not a property, is at fault
+            raise ValueError(f"out cannot be written: {exc.strerror}: {out}") from None
+        with fh:
             fh.writelines(lines)
 
 

@@ -2,10 +2,10 @@
 
 A parity vector of length k with k2 odd steps turns the relation
 b * T^(k)(n) = a * n + c into the two-unknown equation c = b*y - a*x
-with a = m**k2 and b = 2**k coprime.  This module solves that equation,
-whose least non-negative x is the residue class generating the vector,
-classifies vectors as rising or falling by comparing a with b, and hunts
-for cycles via the fixed point x = c / (b - a) of each Lyndon word.
+with a = m**k2 and b = 2**k coprime.  This module folds a vector into
+that equation and solves it (the least non-negative x is the class that
+generates the vector), tells rising from falling vectors by a against b,
+and hunts cycles via the fixed point x = c / (b - a) of Lyndon words.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .trajectory import MapParams, ParityVector, affine_of_vector, parity_vector, step
+from .trajectory import MapParams, ParityVector, parity_vector, step
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,19 @@ def solve(eq: DiophantineEq) -> DiophantineSolution:
 
 
 def equation_of_vector(p: MapParams, w: ParityVector) -> DiophantineEq:
-    """The equation linking a start x to its k-step image y along w."""
+    """The equation linking a start x to its k-step image y along w:
+    b * T^(k)(x) = a*x + c for every x whose first k parity bits are w,
+    with a = m**k2 (odd), b = 2**k and c >= 0, so gcd(a, b) = 1 and the
+    composed map has slope a/b.  The exact fold starts from (a, c) =
+    (1, 0); an odd bit at depth j sends a to m*a and c to m*c + 2**j.
+    """
     if w.k == 0:
         raise ValueError("vector must be non-empty")
-    form = affine_of_vector(p, w)
-    return DiophantineEq(a=form.a, b=form.b, c=form.c)
+    m, a, c = p.m, 1, 0
+    for j, bit in enumerate(w.bits):
+        if bit:
+            a, c = m * a, m * c + (1 << j)
+    return DiophantineEq(a=a, b=1 << w.k, c=c)
 
 
 def residue_of_vector(p: MapParams, w: ParityVector) -> int:

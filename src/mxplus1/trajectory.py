@@ -2,10 +2,9 @@
 
 T(n) = n/2 for even n and (m*n + 1)/2 for odd n, with odd m >= 3 (m = 3
 is the 3x+1 map, m = 5 the 5x+1 map).  Besides plain iteration this
-module extracts parity vectors, folds a parity vector into the exact
-affine form of the composed map, and computes both stopping-time
-notions, the first actual value drop and the first coefficient drop,
-from one walk.
+module extracts parity vectors and computes both stopping-time notions,
+the first actual value drop and the first coefficient drop, from one
+walk.
 """
 
 from __future__ import annotations
@@ -73,36 +72,6 @@ class ParityVector:
 
 
 @dataclass(frozen=True)
-class AffineForm:
-    """Exact form of k composed steps along a fixed parity vector.
-
-    For every n whose first k parity bits match the vector,
-    b * T^(k)(n) == a * n + c with a = m**k2 (odd), b = 2**k and c >= 0,
-    so gcd(a, b) = 1 and the slope of the composed map is a/b.
-    """
-
-    m: int
-    k: int
-    k2: int
-    a: int
-    b: int
-    c: int
-
-    @property
-    def k1(self) -> int:
-        return self.k - self.k2
-
-    def apply(self, n: int) -> int:
-        """Image of n under the composed map; n must be in the vector's
-        residue class mod 2**k (equivalently b must divide a*n + c)."""
-        num = self.a * n + self.c
-        q, r = divmod(num, self.b)
-        if r:
-            raise ValueError(f"{n} is not in the residue class of this vector")
-        return q
-
-
-@dataclass(frozen=True)
 class StoppingTimeResult:
     """First qualifying step index, or proof of none within the cap."""
 
@@ -158,25 +127,6 @@ def parity_vector(p: MapParams, n: int, k: int) -> ParityVector:
         raise ValueError("k must be non-negative")
     code = _parity_code(p.m, n, k)
     return ParityVector(tuple((code >> j) & 1 for j in range(k)))
-
-
-def affine_of_vector(p: MapParams, w: ParityVector) -> AffineForm:
-    """Fold a parity vector into the exact affine form of the composed map.
-
-    Starting from the identity (slope 1, offset 0), a halving bit keeps
-    the numerators and doubles the denominator; a multiplying bit scales
-    the slope numerator by m and sends the offset numerator c to
-    m*c + 2**j at depth j.  All arithmetic is exact.
-    """
-    m = p.m
-    a, c = 1, 0
-    pw = 1
-    for bit in w.bits:
-        if bit:
-            a *= m
-            c = m * c + pw
-        pw <<= 1
-    return AffineForm(m=m, k=w.k, k2=w.k2, a=a, b=pw, c=c)
 
 
 def _first_drops(m: int, n: int, cap: int) -> tuple[int, int]:

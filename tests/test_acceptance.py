@@ -12,8 +12,8 @@ import math
 import random
 import time
 
-from mxplus1 import (MapParams, T3, T5, affine_of_vector, binomial_reference,
-                     count_window, find_cycles, initial_column, iterate,
+from mxplus1 import (MapParams, T3, T5, binomial_reference, count_window,
+                     equation_of_vector, find_cycles, initial_column, iterate,
                      next_column, parity_vector, ratio_to_float)
 
 # --- frozen source tables -------------------------------------------------
@@ -256,8 +256,8 @@ def test_criterion_09_affine_diophantine_fuzz():
         n = rng.randint(1, 10**6)
         k = rng.randint(1, 40)
         p = MapParams(m)
-        f = affine_of_vector(p, parity_vector(p, n, k))
-        assert f.b * iterate(p, n, k).values[-1] == f.a * n + f.c
+        eq = equation_of_vector(p, parity_vector(p, n, k))
+        assert eq.b * iterate(p, n, k).values[-1] == eq.a * n + eq.c
     print("\nPASS: criterion 9 - 10000 random (m, n, k) satisfy the exact "
           "affine identity b*T^k(n) = a*n + c")
 

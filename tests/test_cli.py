@@ -238,6 +238,29 @@ def test_density_usage_error_writes_nothing(tmp_path, capsys, argv, expected, to
     assert target.read_bytes() == b"earlier run\r\n"
 
 
+# One valid run of each subcommand, short enough to repeat.
+EVERY_SUBCOMMAND = {
+    "density": ("density", "--k-max", "10"),
+    "oracle": ("oracle", "--k", "5"),
+    "trajectory": ("trajectory", "--n", "3", "--steps", "2"),
+    "stopping": ("stopping", "--n", "7"),
+    "vector": ("vector", "--n", "5", "--k", "2"),
+    "cycles": ("cycles", "--k-max", "5"),
+    "verify-periodicity": ("verify-periodicity", "--k", "5"),
+}
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+@pytest.mark.parametrize("argv", list(EVERY_SUBCOMMAND.values()), ids=list(EVERY_SUBCOMMAND))
+def test_out_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, argv, where):
+    # Exit 1 would claim a failed property; the path is what is wrong.
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "x.out"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --out") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # Lines before the first data line, per density format.
 HEADER_LINES = {"csv": 1, "json": 0, "plot": 2, "table": 1}
 

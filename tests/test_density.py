@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import time
 from itertools import chain, repeat
 
 import pytest
@@ -263,6 +264,11 @@ def _force_split(monkeypatch):
 
 
 def test_closing_the_points_stops_the_stripe_process(monkeypatch):
+    # The k_max=400 stripe can send all it has and exit before it is
+    # counted; held after its last send, it lives until it is stopped.
+    stripe = density._lower_stripe
+    monkeypatch.setattr(density, "_lower_stripe", lambda *args:
+                        (stripe(*args), time.sleep(600)))
     _force_split(monkeypatch)
     points = _points(T3, 400)
     assert multiprocessing.active_children() == []

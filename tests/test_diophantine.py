@@ -43,8 +43,14 @@ def test_equation_of_vector_examples():
     assert (eq.a, eq.b, eq.c) == (3, 2, 1)
     eq = equation_of_vector(T3, _vec([0, 0]))
     assert (eq.a, eq.b, eq.c) == (1, 4, 0)
+    eq = equation_of_vector(T3, _vec([1, 0]))
+    assert (eq.a, eq.b, eq.c) == (3, 4, 1)
+    eq = equation_of_vector(T3, _vec([0]))
+    assert (eq.a, eq.b, eq.c) == (1, 2, 0)
     eq = equation_of_vector(T3, _vec([1, 1]))
     assert (eq.a, eq.b, eq.c) == (9, 4, 5)
+    # fold check: T^2(3) = 8 and 4*8 == 9*3 + 5
+    assert eq.b * 8 == eq.a * 3 + eq.c
     with pytest.raises(ValueError):
         equation_of_vector(T3, _vec([]))
 
@@ -215,6 +221,17 @@ def test_residue_roundtrip_exhaustive(m):
             r = residue_of_vector(p, w)
             assert 0 <= r < (1 << k)
             assert parity_vector(p, r + (1 << k), k).bits == w.bits
+
+
+@given(m=st.sampled_from([3, 5]),
+       n=st.integers(min_value=1, max_value=10**6),
+       k=st.integers(min_value=1, max_value=40))
+@settings(max_examples=300, deadline=None)
+def test_affine_identity(m, n, k):
+    p = MapParams(m)
+    eq = equation_of_vector(p, parity_vector(p, n, k))
+    end = iterate(p, n, k).values[-1]
+    assert eq.b * end == eq.a * n + eq.c
 
 
 @given(m=st.sampled_from([3, 5]),

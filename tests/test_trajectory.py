@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mxplus1 import (MapParams, ParityVector, StoppingTimeResult, T3, T5,
-                     affine_of_vector, iterate, parity_vector, step,
-                     stopping_time_actual, stopping_time_coefficient)
+                     iterate, parity_vector, step, stopping_time_actual,
+                     stopping_time_coefficient)
 
 
 def test_map_params_validation():
@@ -43,24 +43,6 @@ def test_parity_vector_validation():
         ParityVector((0, 2))
 
 
-def test_affine_examples():
-    f = affine_of_vector(T3, ParityVector((1, 0)))
-    assert (f.a, f.b, f.c) == (3, 4, 1)
-    f = affine_of_vector(T3, ParityVector((0,)))
-    assert (f.a, f.b, f.c) == (1, 2, 0)
-    f = affine_of_vector(T3, ParityVector((1, 1)))
-    assert (f.a, f.b, f.c) == (9, 4, 5)
-    # fold check: T^2(3) = 8 and 4*8 == 9*3 + 5
-    assert f.apply(3) == 8
-    with pytest.raises(ValueError):
-        f.apply(4)  # 4 is not in the class generating (1,1)
-
-
-def test_affine_empty_vector_is_identity():
-    f = affine_of_vector(T3, ParityVector(()))
-    assert (f.a, f.b, f.c, f.k) == (1, 1, 0, 0)
-
-
 def test_stopping_actual_examples():
     assert stopping_time_actual(T3, 4, 100).k == 1
     assert stopping_time_actual(T3, 5, 100).k == 2
@@ -83,19 +65,6 @@ def test_stopping_rejects_nonpositive():
             fn(T3, -4, 10)
         with pytest.raises(ValueError):
             fn(T3, 5, 0)
-
-
-@given(m=st.sampled_from([3, 5]),
-       n=st.integers(min_value=1, max_value=10**6),
-       k=st.integers(min_value=1, max_value=40))
-@settings(max_examples=300, deadline=None)
-def test_affine_identity(m, n, k):
-    p = MapParams(m)
-    w = parity_vector(p, n, k)
-    f = affine_of_vector(p, w)
-    end = iterate(p, n, k).values[-1]
-    assert f.b * end == f.a * n + f.c
-    assert f.apply(n) == end
 
 
 @given(m=st.sampled_from([3, 5, 7]),
