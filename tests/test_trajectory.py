@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mxplus1 import (MapParams, ParityVector, StoppingTimeResult, T3, T5,
-                     iterate, parity_vector, step, stopping_time_actual,
-                     stopping_time_coefficient)
+                     equation_of_vector, iterate, parity_vector, step,
+                     stopping_time_actual, stopping_time_coefficient)
 
 
 def test_map_params_validation():
@@ -41,6 +41,21 @@ def test_parity_vector_examples():
 def test_parity_vector_validation():
     with pytest.raises(ValueError):
         ParityVector((0, 2))
+
+
+def test_affine_examples():
+    eq = equation_of_vector(T3, ParityVector((1, 0)))
+    assert (eq.a, eq.b, eq.c) == (3, 4, 1)
+    eq = equation_of_vector(T3, ParityVector((0,)))
+    assert (eq.a, eq.b, eq.c) == (1, 2, 0)
+    eq = equation_of_vector(T3, ParityVector((1, 1)))
+    assert (eq.a, eq.b, eq.c) == (9, 4, 5)
+    # fold check: T^2(3) = 8 and 4*8 == 9*3 + 5
+    assert iterate(T3, 3, 2).values[-1] == 8
+    assert eq.b * 8 == eq.a * 3 + eq.c
+    # 4 is not in the class generating (1,1), so the equation misses it
+    assert parity_vector(T3, 4, 2) != ParityVector((1, 1))
+    assert eq.b * iterate(T3, 4, 2).values[-1] != eq.a * 4 + eq.c
 
 
 def test_stopping_actual_examples():
