@@ -2,15 +2,17 @@
 
 The table's totals claim that any window of 2**k consecutive starts
 contains exactly N survivors of the slope criterion.  This module checks
-that claim the hard way: iterate every start in a window, track the
+that claim the hard way: decide every start of a window, track the
 first coefficient drop (m**k2 < 2**j) and the first actual value drop
 (T^(j)(n) < n), and tally.  Counting is chunked; chunks are summed, so
 the result is bit-identical for any chunking or worker count.
 
 Every chunk runs one vectorized scan that holds each value in int64
 limbs: one limb while a conservative bound keeps every intermediate
-value below 2**62, more past it.  A pure big-integer scan stays as the
-reference the tests compare it against; both give identical tallies.
+value below 2**62, more past it.  A residue sieve goes first: the first
+j parity bits of n, and so 2**j*T^(j)(n) = m**k2*n + c, depend only on
+n mod 2**j (Terras 1976).  The residues mod 2**s, stepped once, show the
+starts that drop in coefficient and in value at one step j <= s < k.
 
 The same limb stepper computes packed parity codes for the periodicity
 check: parity vectors of length k repeat with period 2**k, and the
@@ -27,11 +29,12 @@ import numpy as np
 
 from .bigmath import _coefficient_limits
 from .density import density_series
-from .trajectory import MapParams, _first_drops
+from .trajectory import MapParams
 
 MAX_ORACLE_K = 26
 MAX_PERIODICITY_K = 20
 _CHUNK = 1 << 16
+_SIEVE_BITS = 10
 
 
 @dataclass(frozen=True)
@@ -92,13 +95,14 @@ def _int_limbs(n: int, width: int) -> list[int]:
     return [(n >> i) & mask for i in range(0, n.bit_length(), width)]
 
 
-def _range_limbs(start: int, size: int, count: int, width: int) -> list[np.ndarray]:
-    """start, start+1, ..., start+size-1 as `count` int64 limbs of
+def _range_limbs(start: int, offsets: np.ndarray, count: int,
+                 width: int) -> list[np.ndarray]:
+    """start + offsets (an int64 array) as `count` int64 limbs of
     `width` bits each, least significant first; the top limb holds all
     the remaining high bits."""
     mask = (1 << width) - 1
     limbs = []
-    carry = np.arange(size, dtype=np.int64)
+    carry = offsets
     for i in range(count - 1):
         limb = carry + ((start >> (width * i)) & mask)
         carry = limb >> width
@@ -157,29 +161,77 @@ def _limbs_less(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
     return less
 
 
+def _sieve(m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """First drops of the residues r = 0 .. 2**s - 1, as (fc, top).
+
+    Every n = r + u*2**s has r's first s parity bits.  fc[r] is their
+    first step j <= s with m**k2 < 2**j (0 = none).  With a = m**k2,
+    T^(j)(n) = T^(j)(r) + u*a*2**(s-j), so n drops below itself at step
+    j iff u*2**(s-j)*(2**j - a) > T^(j)(r) - r; top[r] is the largest n
+    that does not (-1 where fc[r] = 0).  A top too large only steps more
+    starts; one too small would skip starts that add to a tally.
+
+    At a first drop k2 = lim[j] - 1 (it was lim[j-1] or more a step
+    before, and lim[j] <= lim[j-1] + 1), so a < 2**j <= 2**s.  And
+    T^(j)(r) = (a*r + c) / 2**j < r + j/m < 2**(s+1): c/2**j is
+    a/(m*2**j) times the sum, over odd steps i, of 2**i / m**(odd steps
+    before i), each term at most 1 before the drop.  So the low limb
+    holds T^(j)(r) and top fits int64.
+    """
+    lim = _coefficient_limits(m, s)
+    width = _limb_width(m)
+    m_limbs = _int_limbs(m, width)
+    v = _range_limbs(0, np.arange(1 << s, dtype=np.int64),
+                     _limb_count(m, s, 1 << s, width), width)
+    k2 = np.zeros(1 << s, dtype=np.int8)
+    fc = np.zeros_like(k2)
+    top = np.full(1 << s, -1, dtype=np.int64)
+    for j in range(1, s + 1):
+        odd = v[0] & 1
+        k2 += odd.astype(np.int8)
+        _step_limbs(v, odd, m_limbs, width)
+        new = np.flatnonzero((fc == 0) & (k2 < lim[j]))
+        if new.size:
+            fc[new] = j
+            den = (1 << s) - (m ** (lim[j] - 1) << (s - j))
+            top[new] = new + (v[0][new] - new) // den * (1 << s)
+    return fc, top
+
+
 def _scan_limbs(m: int, k: int, start: int, stop: int):
-    """Vectorized scan of one chunk, with the same tallies as _scan_exact.
+    """Vectorized scan of one chunk: the tallies of _first_drops on
+    each start.  A residue sieve goes first, s = min(_SIEVE_BITS, k - 1,
+    floor(log2(stop - start))): a start whose residue drops in
+    coefficient at step j <= s, and that is above the residue's top,
+    has fc = fa = j < k, adds to no tally and is never stepped.
 
     Every value is a list of int64 limbs, least significant first: one
     limb while _limb_count's bound stays below 2**62, otherwise limbs
     of _limb_width(m) bits, so m*v + 1 always fits.  The coefficient
     drop is the test k2 < lim[j].
 
-    Only unsettled starts are stepped: a start is settled once both its
-    coefficient drop and its actual drop are found, and from then on it
+    A start is settled once both its drops are found, and from then on
     adds to no tally (a coefficient drop before step k counts toward
     neither gt nor ge).  The live arrays are compacted whenever they
     have halved, but not after the last step, where a coefficient drop
-    at step k still counts toward ge.  Boolean compaction keeps order,
-    so the mismatches stay increasing.
+    at step k still counts toward ge.  Sieve and compaction keep order.
     """
+    offsets = np.arange(stop - start, dtype=np.int64)
+    s = min(_SIEVE_BITS, k - 1, (stop - start).bit_length() - 1)
+    if s > 0:
+        fc_r, top = _sieve(m, s)
+        res = (offsets + start % (1 << s)) & ((1 << s) - 1)
+        hard = fc_r[res] == 0
+        if start <= top.max():
+            hard |= offsets + start <= top[res]
+        offsets = np.flatnonzero(hard)
     lim = _coefficient_limits(m, k)
     width = _limb_width(m)
     m_limbs = _int_limbs(m, width)
-    n0 = _range_limbs(start, stop - start, _limb_count(m, k, stop, width), width)
+    n0 = _range_limbs(start, offsets, _limb_count(m, k, stop, width), width)
     v = [limb.copy() for limb in n0]
     # odd-step counts and first-drop steps (0 = none yet); k <= 26 fits int8
-    k2 = np.zeros(stop - start, dtype=np.int8)
+    k2 = np.zeros(offsets.size, dtype=np.int8)
     fc = np.zeros_like(k2)
     fa = np.zeros_like(k2)
     for j in range(1, k + 1):
@@ -201,35 +253,13 @@ def _scan_limbs(m: int, k: int, start: int, stop: int):
     return gt, ge, agt, _limbs_to_ints([limb[differ] for limb in n0], width)
 
 
-def _scan_exact(m: int, k: int, start: int, stop: int):
-    """Pure-integer reference scan; exact for any m, k and start >= 1.
-
-    Each start's first drops come from the scalar walk behind the public
-    stopping times.  Production never calls it: _scan_chunk runs
-    _scan_limbs.  The tests compare the two.
-    """
-    gt = ge = agt = 0
-    mismatches = []
-    for n in range(start, stop):
-        fc, fa = _first_drops(m, n, k)
-        if fc == 0:
-            gt += 1
-            ge += 1
-        elif fc == k:
-            ge += 1
-        if fa == 0:
-            agt += 1
-        if (fa == 0) != (fc == 0):
-            mismatches.append(n)
-    return gt, ge, agt, mismatches
-
-
 def _parity_codes(m: int, k: int, start: int, size: int) -> np.ndarray:
     """trajectory._parity_code of start, start+1, ..., start+size-1 as
     an int64 array: bit j is the parity of the j-th value."""
     width = _limb_width(m)
     m_limbs = _int_limbs(m, width)
-    v = _range_limbs(start, size, _limb_count(m, k, start + size, width), width)
+    v = _range_limbs(start, np.arange(size, dtype=np.int64),
+                     _limb_count(m, k, start + size, width), width)
     code = np.zeros(size, dtype=np.int64)
     for j in range(k):
         odd = v[0] & 1

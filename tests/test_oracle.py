@@ -9,8 +9,9 @@ from mxplus1 import (LESS, T3, T5, MapParams, cmp_pow, count_window,
                      discrepancy_scan, periodicity_window)
 from mxplus1 import oracle
 from mxplus1.oracle import (_coefficient_limits, _limb_count, _limb_width,
-                            _parity_codes, _scan_chunk, _scan_exact, _step_bound)
-from mxplus1.trajectory import _parity_code
+                            _parity_codes, _scan_chunk, _sieve, _step_bound)
+from mxplus1.trajectory import _first_drops, _parity_code
+from reference import scan_exact
 
 
 def test_count_window_examples():
@@ -140,7 +141,7 @@ def test_fast_path_matches_exact_path(m, offset):
             start = stop - (1 << k)
             assert _limb_count(m, k, stop, width) == limbs
             fast = _scan_chunk((m, k, start, stop))
-            exact = _scan_exact(m, k, start, stop)
+            exact = scan_exact(m, k, start, stop)
             assert fast[:3] == exact[:3]
             assert list(fast[3]) == list(exact[3])
 
@@ -160,7 +161,59 @@ def test_fast_chunk_equals_exact_chunk(m, k, start, size, near):
         start = _first_stop_on_limbs(m, k, 2) - 1 - start % 4 - size
     stop = start + size
     assert _limb_count(m, k, stop, _limb_width(m)) == 1  # one int64 per value
-    assert _scan_chunk((m, k, start, stop)) == _scan_exact(m, k, start, stop)
+    assert _scan_chunk((m, k, start, stop)) == scan_exact(m, k, start, stop)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 2**40 + 1])
+def test_sieve_table_is_exact(m):
+    # Every residue r mod 2**s against the scalar walk of n = r + u*2**s,
+    # u from 0 to two past top[r]: fc[r] is each n's first coefficient
+    # drop within s steps, and n drops in value at that step iff
+    # n > top[r].  A top one class too high (rounding u up) fails here.
+    for s in range(1, 11):
+        fc, top = _sieve(m, s)
+        for r in range(1 << s):
+            assert (fc[r] == 0) == (top[r] == -1)
+            for u in range(max(int(top[r]) - r, 0) // (1 << s) + 3):
+                n = r + u * (1 << s)
+                if n == 0:
+                    continue
+                n_fc, n_fa = _first_drops(m, n, s)
+                assert n_fc == fc[r]
+                if fc[r]:
+                    assert (n_fa == fc[r]) == (n > top[r]), (s, r, n)
+
+
+@given(m=st.sampled_from([3, 5, 7, 9, 2**40 + 1]),
+       k=st.integers(min_value=2, max_value=14),
+       start=st.integers(min_value=1, max_value=64)
+       | st.integers(min_value=1, max_value=1 << 22),
+       size=st.integers(min_value=2, max_value=(1 << 10) - 1)
+       | st.integers(min_value=1, max_value=1 << 13).map(lambda x: x | 1))
+@settings(max_examples=300, deadline=None)
+def test_small_starts_below_the_sieve_tops(m, k, start, size):
+    # Starts at or below a residue's top are stepped although their
+    # residue drops; sizes off the powers of two cover the residues
+    # unevenly.
+    stop = start + size
+    assert _scan_chunk((m, k, start, stop)) == scan_exact(m, k, start, stop)
+
+
+def test_sieve_bounds_the_stepped_starts(monkeypatch):
+    # With m=3 a residue mod 2**10 has no drop within 10 steps for 64 of
+    # the 1024 residues, so a chunk of 2**16 starts steps 4096 of them
+    # (and the 1024 residues once); without the sieve it steps them all.
+    sizes = []
+    range_limbs = oracle._range_limbs
+
+    def spy(start, offsets, count, width):
+        sizes.append(len(offsets))
+        return range_limbs(start, offsets, count, width)
+
+    monkeypatch.setattr(oracle, "_range_limbs", spy)
+    start = 1 << 32
+    _scan_chunk((3, 22, start, start + (1 << 16)))
+    assert 0 < sum(sizes) <= (1 << 16) // 8
 
 
 def test_one_limb_while_the_step_bound_fits():
@@ -169,7 +222,7 @@ def test_one_limb_while_the_step_bound_fits():
     assert _step_bound(7, 23, 2**16 + 1) < 2**61
     assert _limb_count(7, 23, 2**16 + 1, _limb_width(7)) == 1
     start = 2**16 - 255
-    assert _scan_chunk((7, 23, start, 2**16 + 1)) == _scan_exact(7, 23, start, 2**16 + 1)
+    assert _scan_chunk((7, 23, start, 2**16 + 1)) == scan_exact(7, 23, start, 2**16 + 1)
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
@@ -194,7 +247,7 @@ def test_window_across_int64_bound(monkeypatch, m, k):
     near = count_window(p, k, 1)
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     far = count_window(p, k, offset)
-    gt, ge, agt, mism = _scan_exact(m, k, offset, offset + (1 << k))
+    gt, ge, agt, mism = scan_exact(m, k, offset, offset + (1 << k))
     assert (far.count_coefficient_gt, far.count_coefficient_ge,
             far.count_actual_gt) == (gt, ge, agt)
     assert discrepancy_scan(p, k, offset) == mism
@@ -215,9 +268,8 @@ def test_limb_chunk_equals_exact_chunk(m, k, shift, size):
     start = max(1, _first_stop_on_limbs(m, k, 2) - size) + shift
     stop = start + size
     assert _limb_count(m, k, stop, _limb_width(m)) >= 2
-    want = _scan_exact(m, k, start, stop)
-    with mock.patch.object(oracle, "_scan_exact", side_effect=AssertionError):
-        assert _scan_chunk((m, k, start, stop)) == want
+    assert not hasattr(oracle, "_scan_exact")  # the reference lives in the tests
+    assert _scan_chunk((m, k, start, stop)) == scan_exact(m, k, start, stop)
 
 
 @pytest.mark.parametrize("m", [2**31 - 1, 2**40 + 1, 2**61 - 1, 3**40, 2**70 + 1])
@@ -227,7 +279,7 @@ def test_limb_chunk_wide_multipliers(m):
     rng = random.Random(m)
     for k in range(1, 13):
         start = rng.getrandbits(100)
-        assert _scan_chunk((m, k, start, start + 64)) == _scan_exact(m, k, start, start + 64)
+        assert _scan_chunk((m, k, start, start + 64)) == scan_exact(m, k, start, start + 64)
         codes = _parity_codes(m, k, start, 64).tolist()
         assert codes == [_parity_code(m, n, k) for n in range(start, start + 64)]
 
