@@ -6,14 +6,11 @@ residue windows.  Agreement of the two, plus the diophantine structure
 of parity vectors, is the point of the package.
 """
 
-from .bigmath import EQUAL, GREATER, LESS, cmp_pow, ratio_to_float
-from .density import (DensityColumn, DensityPoint, DensitySeries, ShadedCell,
-                      binomial_reference, density_series, initial_column,
-                      next_column)
+from .bigmath import ratio_to_float
+from .density import DensityPoint, DensitySeries, density_series
 from .diophantine import (Classification, Cycle, DiophantineEq,
-                          DiophantineSolution, classify, cycle_candidate,
-                          equation_of_vector, find_cycles, residue_of_vector,
-                          solve)
+                          DiophantineSolution, classify, equation_of_vector,
+                          find_cycles, residue_of_vector, solve)
 from .report import to_csv, to_json, to_plot_data
 from .trajectory import (MapParams, ParityVector, StoppingTimeResult, T3,
                          T5, Trajectory, iterate, parity_vector, step,
@@ -30,14 +27,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "Classification", "Cycle", "DensityColumn", "DensityPoint",
-    "DensitySeries", "DiophantineEq", "DiophantineSolution", "EQUAL",
-    "GREATER", "LESS", "MapParams", "OracleReport", "ParityVector",
-    "ShadedCell", "StoppingTimeResult", "T3", "T5", "Trajectory",
-    "binomial_reference", "classify", "cmp_pow", "count_window",
-    "cycle_candidate", "density_series", "discrepancy_scan",
-    "equation_of_vector", "find_cycles", "initial_column", "iterate",
-    "next_column", "parity_vector", "periodicity_window", "ratio_to_float",
-    "residue_of_vector", "solve", "step", "stopping_time_actual",
-    "stopping_time_coefficient", "to_csv", "to_json", "to_plot_data",
+    "Classification", "Cycle", "DensityPoint", "DensitySeries",
+    "DiophantineEq", "DiophantineSolution", "MapParams", "OracleReport",
+    "ParityVector", "StoppingTimeResult", "T3", "T5", "Trajectory",
+    "classify", "count_window", "density_series", "discrepancy_scan",
+    "equation_of_vector", "find_cycles", "iterate", "parity_vector",
+    "periodicity_window", "ratio_to_float", "residue_of_vector", "solve",
+    "step", "stopping_time_actual", "stopping_time_coefficient", "to_csv",
+    "to_json", "to_plot_data",
 ]

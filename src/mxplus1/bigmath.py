@@ -2,29 +2,12 @@
 
 Counts live in plain Python ints, which are already unbounded, so this
 module only adds what the table and the oracle need beyond ordinary
-integer arithmetic: an exact ordering of m**i against 2**k, the table of
-power thresholds that turns m**i < 2**j into an index test, and the
-conversion of huge-integer ratios num / 2**k to floats.
+integer arithmetic: the table of power thresholds that turns
+m**i < 2**j into an index test, and the conversion of huge-integer
+ratios num / 2**k to floats.
 """
 
 from __future__ import annotations
-
-LESS, EQUAL, GREATER = -1, 0, 1
-
-
-def cmp_pow(m: int, i: int, k: int) -> int:
-    """Exact ordering of m**i versus 2**k: LESS, EQUAL or GREATER.
-
-    m must be odd and >= 3, so m**i is a power of two only for i = 0;
-    EQUAL is therefore possible only at i = k = 0.  The comparison is
-    done on exact integers, never floats.
-    """
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"m must be an odd integer >= 3, got {m}")
-    if i < 0 or k < 0:
-        raise ValueError("exponents must be non-negative")
-    power, bound = m**i, 1 << k
-    return LESS if power < bound else GREATER if power > bound else EQUAL
 
 
 def _coefficient_limits(m: int, k: int) -> list[int]:

@@ -9,22 +9,20 @@ consecutive powers of m are at least a factor 3 apart, at most one row
 can fail per column; its would-be value is the column's "shaded" count,
 the number of starts whose slope drops below 1 at exactly this k.
 
-next_column steps one whole column, summing its rows for N; it is the
-reference the series is tested against.  The series walks the table
-along its diagonals e = k - i instead, where the Pascal rule reads
-cell(i,e) = cell(i-1,e) + cell(i,e-1): diagonal e is a running sum of
-diagonal e - 1 over the rows still alive, and diagonal 0 is all ones,
-the all-odd start of each row.  Row i dies on the first diagonal e with
-m**i < 2**(i+e); its cell on diagonal e - 1 is its shaded count, at
-k = i + e.  Rows die in order of i, so the shaded counts come out in k
-order, each column's total from the doubling identity
-N(k) = 2*N(k-1) - shaded(k), and only one diagonal is held.  A series
-to k_max needs no row above the last one it can shade,
+The series walks the table along its diagonals e = k - i, where the
+Pascal rule reads cell(i,e) = cell(i-1,e) + cell(i,e-1): diagonal e is
+a running sum of diagonal e - 1 over the rows still alive, and diagonal
+0 is all ones, the all-odd start of each row.  Row i dies on the first
+diagonal e with m**i < 2**(i+e); its cell on diagonal e - 1 is its
+shaded count, at k = i + e.  Rows die in order of i, so the shaded
+counts come out in k order, each column's total from the doubling
+identity N(k) = 2*N(k-1) - shaded(k), and only one diagonal is held.
+A series to k_max needs no row above the last one it can shade,
 i_top = max{i : m**i < 2**k_max}.
 
-Only the current column or diagonal is kept in memory, so the recursion
-streams to large k.  Every entry is an exact integer; floats appear
-only in the emitted distribution values F = N / 2**k.
+Only the current diagonal is kept in memory, so the recursion streams
+to large k.  Every entry is an exact integer; floats appear only in
+the emitted distribution values F = N / 2**k.
 
 With two cores a big band is cut at a row: a second process steps the
 lower stripe along the same diagonals and feeds the upper stripe,
@@ -38,42 +36,10 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from operator import add
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .bigmath import _coefficient_limits, ratio_to_float
 from .trajectory import MapParams
-
-
-class ShadedCell(NamedTuple):
-    row: int
-    count: int
-
-
-@dataclass(frozen=True)
-class DensityColumn:
-    """One table column: contiguous nonzero rows i_min..k, their exact
-    total N, and the cell zeroed at this k, if any."""
-
-    m: int
-    k: int
-    i_min: int
-    rows: tuple[int, ...]
-    shaded: ShadedCell | None
-    N: int
-
-    def row(self, i: int) -> int:
-        """Count for row i; zeroed and never-populated rows read 0."""
-        if self.i_min <= i < self.i_min + len(self.rows):
-            return self.rows[i - self.i_min]
-        return 0
-
-    def items(self) -> list[tuple[int, int]]:
-        return [(self.i_min + t, v) for t, v in enumerate(self.rows)]
-
-    @property
-    def shaded_count(self) -> int:
-        return self.shaded.count if self.shaded else 0
 
 
 @dataclass(frozen=True)
@@ -103,37 +69,6 @@ class DensitySeries:
 # 66-82 s and 110 MB on one core of a Xeon VM, so a run to the bound
 # finishes in minutes, not hours.
 MAX_SERIES_K = 24_000
-MAX_BINOMIAL_K = 10_000
-
-
-def initial_column(p: MapParams) -> DensityColumn:
-    """Column k = 0: a single survivor row (0 iterations reject nobody)."""
-    return DensityColumn(m=p.m, k=0, i_min=0, rows=(1,), shaded=None, N=1)
-
-
-def next_column(col: DensityColumn) -> DensityColumn:
-    """Advance the recursion by one column.
-
-    Candidate rows run from the old i_min up to the new k; each is the
-    Pascal sum of its two parents (absent parents read 0, so the new
-    highest candidate equals the old highest row, the all-odd row, which
-    stays 1 forever).  Candidate i_min is the only row that can fail the
-    exact power test m**i > 2**k: if it does, it becomes the shaded cell
-    and is dropped.  N is the sum of the rows, which leaves the doubling
-    identity N(k) = 2*N(k-1) - shaded(k) as an independent cross-check.
-    """
-    m = col.m
-    k = col.k + 1
-    old = col.rows
-    i_min = col.i_min
-    cand = list(map(add, (0, *old), (*old, 0)))
-    shaded = None
-    # m**i_min < 2**k exactly when its bit length is k at most (it is odd)
-    if (m**i_min).bit_length() <= k:
-        shaded = ShadedCell(row=i_min, count=cand.pop(0))
-        i_min += 1
-    return DensityColumn(m=m, k=k, i_min=i_min, rows=tuple(cand),
-                         shaded=shaded, N=sum(cand))
 
 
 def _point(k: int, n: int, shaded: int) -> DensityPoint:
@@ -274,22 +209,3 @@ def density_series(p: MapParams, k_max: int, stride: int = 1) -> DensitySeries:
     stride and at k_max itself (k = 0 is always emitted).  Only the band
     of rows up to the last one shadeable by k_max is computed."""
     return DensitySeries(m=p.m, points=list(_points(p, k_max, stride)))
-
-
-def binomial_reference(k_max: int) -> list[tuple[int, ...]]:
-    """Pascal triangle columns 0..k_max via the plain two-parent sum,
-    the same recursion as the table but with no zeroing.  Column sums
-    are 2**k; entry (i, k) dominates the table's value at (i, k)."""
-    if k_max < 0:
-        raise ValueError("k_max must be non-negative")
-    if k_max > MAX_BINOMIAL_K:
-        raise ValueError(f"k_max={k_max} exceeds the practical bound {MAX_BINOMIAL_K}")
-    triangle = [(1,)]
-    for _ in range(k_max):
-        prev = triangle[-1]
-        col = [1]
-        for t in range(1, len(prev)):
-            col.append(prev[t - 1] + prev[t])
-        col.append(1)
-        triangle.append(tuple(col))
-    return triangle

@@ -129,21 +129,6 @@ def classify(eq: DiophantineEq) -> Classification:
     return Classification.RISING if eq.b < eq.a else Classification.FALLING
 
 
-def cycle_candidate(p: MapParams, w: ParityVector) -> int | None:
-    """Fixed point of w's composed map, if integral.
-
-    x = y forces c = x*(b - a); when b - a divides c the quotient is the
-    unique fixed point, and an integral fixed point realizes w as its
-    own parity vector, so it closes under direct iteration.  Signed
-    division matters: rising vectors give negative cycles.
-    """
-    eq = equation_of_vector(p, w)
-    d = eq.b - eq.a  # b is even and a odd, so never 0
-    if eq.c % d != 0:
-        return None
-    return eq.c // d
-
-
 def _close_cycle(p: MapParams, x: int, k_max: int) -> tuple[int, ...]:
     """The cycle through x, from its element of least magnitude (ties
     toward the smaller)."""

@@ -12,9 +12,9 @@ import math
 import random
 import time
 
-from mxplus1 import (MapParams, T3, T5, binomial_reference, count_window,
-                     equation_of_vector, find_cycles, initial_column, iterate,
-                     next_column, parity_vector, ratio_to_float)
+from mxplus1 import (MapParams, T3, T5, count_window, equation_of_vector,
+                     find_cycles, iterate, parity_vector, ratio_to_float)
+from reference import binomial_reference, initial_column, next_column
 
 # --- frozen source tables -------------------------------------------------
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import mxplus1
-from mxplus1 import density
+from mxplus1 import bigmath, density, diophantine
 from mxplus1.cli import main
 from mxplus1.density import MAX_SERIES_K
 
@@ -362,6 +363,36 @@ def test_every_public_name_resolves():
         assert getattr(mxplus1, name) is not None
     with pytest.raises(AttributeError):
         mxplus1.no_such_name
+
+
+# the references the tests check the package against, by their old homes
+MOVED_TO_REFERENCE = {
+    density: ("ShadedCell", "DensityColumn", "MAX_BINOMIAL_K", "initial_column",
+              "next_column", "binomial_reference"),
+    bigmath: ("LESS", "EQUAL", "GREATER", "cmp_pow"),
+    diophantine: ("cycle_candidate",),
+}
+
+
+def test_references_live_in_the_tests_apart_from_what_they_check():
+    for module, names in MOVED_TO_REFERENCE.items():
+        for name in names:
+            assert not hasattr(module, name)
+            assert not hasattr(mxplus1, name)
+    # no reference may be built on the kernel or the power table it checks
+    checked = {"mxplus1.density", "mxplus1.bigmath"}
+    with open(os.path.join(os.path.dirname(__file__), "reference.py")) as f:
+        tree = ast.parse(f.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not {alias.name for alias in node.names} & checked
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module not in checked
+            if node.module == "mxplus1":
+                for alias in node.names:
+                    imported = getattr(mxplus1, alias.name)
+                    assert getattr(imported, "__name__", None) not in checked
+                    assert getattr(imported, "__module__", None) not in checked
 
 
 def test_verify_periodicity_pass(capsys):

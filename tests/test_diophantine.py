@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mxplus1 import (Classification, DiophantineEq, MapParams, ParityVector,
-                     T3, T5, classify, cycle_candidate, equation_of_vector,
-                     find_cycles, iterate, parity_vector, residue_of_vector,
-                     solve, step)
+                     T3, T5, classify, equation_of_vector, find_cycles,
+                     iterate, parity_vector, residue_of_vector, solve, step)
 from mxplus1 import diophantine
+from reference import cycle_candidate
 
 
 def _vec(bits):

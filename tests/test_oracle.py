@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mxplus1 import (LESS, T3, T5, MapParams, cmp_pow, count_window,
-                     discrepancy_scan, periodicity_window)
+from mxplus1 import (T3, T5, MapParams, count_window, discrepancy_scan,
+                     periodicity_window)
 from mxplus1 import oracle
 from mxplus1.oracle import (_coefficient_limits, _limb_count, _limb_width,
                             _parity_codes, _scan_chunk, _sieve, _step_bound)
 from mxplus1.trajectory import _first_drops, _parity_code
-from reference import scan_exact
+from reference import LESS, cmp_pow, scan_exact
 
 
 def test_count_window_examples():
