@@ -4,15 +4,15 @@ The table's totals claim that any window of 2**k consecutive starts
 contains exactly N survivors of the slope criterion.  This module checks
 that claim the hard way: decide every start of a window, track the
 first coefficient drop (m**k2 < 2**j) and the first actual value drop
-(T^(j)(n) < n), and tally.  Counting is chunked; chunks are summed, so
-the result is bit-identical for any chunking or worker count.
-
-Every chunk runs one vectorized scan that holds each value in int64
-limbs: one limb while a conservative bound keeps every intermediate
-value below 2**62, more past it.  A residue sieve goes first: the first
-j parity bits of n, and so 2**j*T^(j)(n) = m**k2*n + c, depend only on
-n mod 2**j (Terras 1976).  The residues mod 2**s, stepped once, show the
-starts that drop in coefficient and in value at one step j <= s < k.
+(T^(j)(n) < n), and tally.  A residue sieve goes first, once per
+window: the first j parity bits of n, and so 2**j*T^(j)(n) = m**k2*n +
+c, depend only on n mod 2**j (Terras 1976).  The residues mod 2**s,
+stepped once, show the starts that drop in coefficient and in value at
+one step j <= s < k; only the others are stepped, in chunks of
+_STEPPED of them.  Chunks are summed, so the result is
+bit-identical for any chunking or worker count.  Each runs one
+vectorized scan that holds each value in int64 limbs: one limb while a
+conservative bound keeps every value below 2**62, more past it.
 
 The same limb stepper computes packed parity codes for the periodicity
 check: parity vectors of length k repeat with period 2**k, and the
@@ -33,8 +33,9 @@ from .trajectory import MapParams
 
 MAX_ORACLE_K = 26
 MAX_PERIODICITY_K = 20
-_CHUNK = 1 << 16
-_SIEVE_BITS = 10
+_CHUNK = 1 << 16  # periodicity_window's chunk width
+_STEPPED = 1 << 13  # hard starts an oracle chunk steps (the last fewer)
+_SIEVE_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,9 @@ def _sieve(m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     first step j <= s with m**k2 < 2**j (0 = none).  With a = m**k2,
     T^(j)(n) = T^(j)(r) + u*a*2**(s-j), so n drops below itself at step
     j iff u*2**(s-j)*(2**j - a) > T^(j)(r) - r; top[r] is the largest n
-    that does not (-1 where fc[r] = 0).  A top too large only steps more
-    starts; one too small would skip starts that add to a tally.
+    that does not (-1 where fc[r] = 0).  A chunk steps the starts with
+    fc = 0 or at or below their top: a top too large only steps more
+    starts, one too small would skip starts that add to a tally.
 
     At a first drop k2 = lim[j] - 1 (it was lim[j-1] or more a step
     before, and lim[j] <= lim[j-1] + 1), so a < 2**j <= 2**s.  And
@@ -198,12 +200,24 @@ def _sieve(m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     return fc, top
 
 
-def _scan_limbs(m: int, k: int, start: int, stop: int):
+def _window_sieve(m: int, k: int) -> tuple[int, np.ndarray, list[int]]:
+    """(s, hard, low) for every chunk of a window of 2**k: s =
+    min(_SIEVE_BITS, k - 1), the residues r mod 2**s with fc[r] = 0 and
+    the starts n <= top[n mod 2**s] of the others (n <= 17 for m <= 11)."""
+    s = min(_SIEVE_BITS, k - 1)
+    fc, top = _sieve(m, s)
+    tops = np.flatnonzero(top >= np.arange(1 << s)).tolist()
+    low = [n for r in tops for n in range(r, int(top[r]) + 1, 1 << s)]
+    return s, np.flatnonzero(fc == 0), low
+
+
+def _scan_limbs(m: int, k: int, start: int, stop: int,
+                sieve: tuple[int, np.ndarray, list[int]]):
     """Vectorized scan of one chunk: the tallies of _first_drops on
-    each start.  A residue sieve goes first, s = min(_SIEVE_BITS, k - 1,
-    floor(log2(stop - start))): a start whose residue drops in
-    coefficient at step j <= s, and that is above the residue's top,
-    has fc = fa = j < k, adds to no tally and is never stepped.
+    each start.  It steps only the starts r + u*2**s of the hard
+    residues r, listed block by block in increasing order, and those in
+    low: every other start drops in coefficient and in value at one step
+    j <= s < k, has fc = fa = j < k and adds to no tally.
 
     Every value is a list of int64 limbs, least significant first: one
     limb while _limb_count's bound stays below 2**62, otherwise limbs
@@ -214,17 +228,16 @@ def _scan_limbs(m: int, k: int, start: int, stop: int):
     adds to no tally (a coefficient drop before step k counts toward
     neither gt nor ge).  The live arrays are compacted whenever they
     have halved, but not after the last step, where a coefficient drop
-    at step k still counts toward ge.  Sieve and compaction keep order.
+    at step k still counts toward ge.  Compaction keeps order.
     """
-    offsets = np.arange(stop - start, dtype=np.int64)
-    s = min(_SIEVE_BITS, k - 1, (stop - start).bit_length() - 1)
-    if s > 0:
-        fc_r, top = _sieve(m, s)
-        res = (offsets + start % (1 << s)) & ((1 << s) - 1)
-        hard = fc_r[res] == 0
-        if start <= top.max():
-            hard |= offsets + start <= top[res]
-        offsets = np.flatnonzero(hard)
+    s, hard, low = sieve
+    offsets = np.add.outer(np.arange(-(start % (1 << s)), stop - start,
+                                     1 << s), hard).ravel()
+    lo, hi = np.searchsorted(offsets, (0, stop - start))
+    offsets = offsets[lo:hi]
+    extra = [n - start for n in low if start <= n < stop]
+    if extra:
+        offsets = np.union1d(offsets, extra)
     lim = _coefficient_limits(m, k)
     width = _limb_width(m)
     m_limbs = _int_limbs(m, width)
@@ -294,7 +307,7 @@ def periodicity_window(p: MapParams, k: int, start: int) -> tuple[int, bool]:
     return int(np.count_nonzero(seen)), repeats_ok
 
 
-def _scan_chunk(args: tuple[int, int, int, int]):
+def _scan_chunk(args: tuple):
     return _scan_limbs(*args)
 
 
@@ -311,9 +324,16 @@ def _scan_window(p: MapParams, k: int, offset: int,
         raise ValueError("offset must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    s, hard, _ = sieve = _window_sieve(p.m, k)
     end = offset + (1 << k)
-    tasks = [(p.m, k, start, min(start + _CHUNK, end))
-             for start in range(offset, end, _CHUNK)]
+    # chunks start at offset and at every _STEPPED-th hard start after it:
+    # the j-th from block u = offset >> s on is (u + j//h)*2**s + hard[j % h]
+    u, h = offset >> s, hard.size
+    first = int(np.searchsorted(hard, offset - (u << s)))
+    cuts = [(u + j // h << s) + int(hard[j % h])
+            for j in range(first + _STEPPED, h << (k - s + 1), _STEPPED)]
+    bounds = [offset, *(n for n in cuts if n < end), end]
+    tasks = [(p.m, k, a, b, sieve) for a, b in zip(bounds, bounds[1:])]
     # no more workers than chunks or cores: a pool starts all of them
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:
