@@ -5,7 +5,8 @@ b * T^(k)(n) = a * n + c into the two-unknown equation c = b*y - a*x
 with a = m**k2 and b = 2**k coprime.  This module folds a vector into
 that equation and solves it (the least non-negative x is the class that
 generates the vector), tells rising from falling vectors by a against b,
-and hunts cycles via the fixed point x = c / (b - a) of Lyndon words.
+and finds cycles as the integral fixed points x = c / (b - a) of words,
+joining the residues of their two halves (a meet in the middle).
 """
 
 from __future__ import annotations
@@ -141,50 +142,49 @@ def _close_cycle(p: MapParams, x: int, k_max: int) -> tuple[int, ...]:
     return tuple(values[pivot:] + values[:pivot])
 
 
-def _walk(m: int, pow_m: list[int], k_max: int, found: set[int],
-          t: int, c: int, k2: int, period: int, bits: int) -> None:
-    """Depth first, add to found the integral fixed points of the Lyndon
-    words among the prenecklaces of length t..k_max that extend a word.
-
-    The word, of length t - 1, holds step j in bit j (bit 0 is a 0
-    before it), k2 odd steps, the offset numerator c and the length
-    `period` of its longest Lyndon prefix.  Its child of length t copies
-    the bit `period` places back, and the loop goes on with it.  Where
-    that bit is 0 the word may also take a 1 and is then a Lyndon word of
-    length t (Fredricksen, Kessler and Maiorana): its fixed point
-    c / (2**t - m**k2) is tested here, and one recursive call walks its
-    extensions, so at most k_max + 1 calls are ever on the stack.
-    """
-    while t <= k_max:
-        bit = 1 << t
-        c1 = m * c + (bit >> 1)
-        if bits >> (t - period) & 1:
-            c, k2, bits = c1, k2 + 1, bits | bit
-        else:
-            d = bit - pow_m[k2 + 1]  # even minus odd, never 0
-            if c1 % d == 0:
-                found.add(c1 // d)
-            _walk(m, pow_m, k_max, found, t + 1, c1, k2 + 1, t, bits | bit)
-        t += 1
-
-
 def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
     """All cycles whose parity vector has length at most k_max.
 
-    A cycle's vector is primitive: were it u repeated, the map of u would
-    share its unique fixed point, and the cycle would be |u| steps long.
-    So exactly one rotation of it is a Lyndon word, whose integral fixed
-    point is an element of the cycle.  One depth-first _walk collects
-    these candidates; each is closed by iteration and rotated to
-    canonical form.  Sorted by (length, start).
+    Each element of a cycle of length t <= k_max is the integral fixed
+    point c(w) / d, d = 2**t - m**k2, of its own vector w of length t.
+    Split w after h = t // 2 bits into u and v: c(w) = m**k2(v) * c(u) +
+    2**h * c(v), and d is odd, so d divides c(w) exactly when
+    c(v) = -m**k2(v) * 2**(-h) * c(u) mod |d|.  The half-words are folded
+    once, grouped by odd count (a word of length L extends one of L - 1
+    by a bit: c, or m*c + 2**(L-1)), and for each t and split (k2(u),
+    k2(v)) the residues of the c(v) are joined to those of the c(u).
+    Where |d| = 1 every residue is 0 and every pair a hit.  Each hit is
+    closed by iteration and rotated to canonical form; the set drops
+    rotations and powers of shorter words.  Sorted by (length, start).
+    Memory grows as 2**(k_max / 2), the longest folds; time as k_max
+    times that.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
     if k_max > MAX_CYCLE_SEARCH_K:
         raise ValueError(
             f"k_max={k_max} exceeds the enumeration budget ({MAX_CYCLE_SEARCH_K})")
-    pow_m = [p.m**q for q in range(k_max + 1)]
-    candidates = {0}  # from 0, the one Lyndon word that does not end in 1
-    _walk(p.m, pow_m, k_max, candidates, 1, 0, 0, 1, 0)
+    # folds[L][k]: the offsets c of the words of length L with k odd bits
+    m, pow_m, folds = p.m, [p.m**q for q in range(k_max + 1)], [[[0]]]
+    for L in range(1, (k_max + 1) // 2 + 1):
+        level = [[] for _ in range(L + 1)]
+        for k, cs in enumerate(folds[-1]):  # bit L - 1 even, then odd
+            level[k] += cs
+            level[k + 1] += [m * c + (1 << (L - 1)) for c in cs]
+        folds.append(level)
+    candidates = set()
+    for t in range(1, k_max + 1):
+        h = t // 2
+        for k2 in range(t + 1):
+            d = (1 << t) - pow_m[k2]  # even minus odd: odd, never 0
+            n, inv = abs(d), pow(2, -h, abs(d))
+            for ku in range(max(0, k2 - t + h), min(h, k2) + 1):
+                a_v, us, vs = pow_m[k2 - ku], folds[h][ku], folds[t - h][k2 - ku]
+                f = -a_v * inv % n
+                keys = {cv % n for cv in vs}.intersection([f * cu % n for cu in us])
+                if keys:
+                    candidates.update((a_v * cu + (cv << h)) // d
+                                      for cu in us if (r := f * cu % n) in keys
+                                      for cv in vs if cv % n == r)
     canon = {_close_cycle(p, x, k_max) for x in candidates}
     return [Cycle(v) for v in sorted(canon, key=lambda v: (len(v), v[0]))]

@@ -11,7 +11,10 @@
   no zeroing, whose entries bound the table's.
 - cycle_candidate: the fixed point of a parity vector from
   equation_of_vector's fold, which checks the fixed points that
-  diophantine._walk builds for find_cycles by its own recurrence.
+  diophantine.find_cycles joins from half-words.
+- _walk and lyndon_cycles: the cycle census from the Lyndon words alone,
+  walked depth first with their own offset recurrence, which checks the
+  meet in the middle of diophantine.find_cycles.
 - scan_exact: oracle._scan_limbs' tallies from the scalar walk, start
   by start.
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
-from mxplus1.diophantine import equation_of_vector
+from mxplus1.diophantine import Cycle, _close_cycle, equation_of_vector
 from mxplus1.trajectory import MapParams, ParityVector, _first_drops
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -145,6 +148,51 @@ def cycle_candidate(p: MapParams, w: ParityVector) -> int | None:
     if eq.c % d != 0:
         return None
     return eq.c // d
+
+
+def _walk(m: int, pow_m: list[int], k_max: int, found: set[int],
+          t: int, c: int, k2: int, period: int, bits: int) -> None:
+    """Depth first, add to found the integral fixed points of the Lyndon
+    words among the prenecklaces of length t..k_max that extend a word.
+
+    The word, of length t - 1, holds step j in bit j (bit 0 is a 0
+    before it), k2 odd steps, the offset numerator c and the length
+    `period` of its longest Lyndon prefix.  Its child of length t copies
+    the bit `period` places back, and the loop goes on with it.  Where
+    that bit is 0 the word may also take a 1 and is then a Lyndon word of
+    length t (Fredricksen, Kessler and Maiorana): its fixed point
+    c / (2**t - m**k2) is tested here, and one recursive call walks its
+    extensions, so at most k_max + 1 calls are ever on the stack.
+    """
+    while t <= k_max:
+        bit = 1 << t
+        c1 = m * c + (bit >> 1)
+        if bits >> (t - period) & 1:
+            c, k2, bits = c1, k2 + 1, bits | bit
+        else:
+            d = bit - pow_m[k2 + 1]  # even minus odd, never 0
+            if c1 % d == 0:
+                found.add(c1 // d)
+            _walk(m, pow_m, k_max, found, t + 1, c1, k2 + 1, t, bits | bit)
+        t += 1
+
+
+def lyndon_cycles(p: MapParams, k_max: int) -> list[Cycle]:
+    """All cycles whose parity vector has length at most k_max, as
+    find_cycles gives them, from the Lyndon words of length 1..k_max.
+
+    A cycle's vector is primitive: were it u repeated, the map of u would
+    share its unique fixed point, and the cycle would be |u| steps long.
+    So exactly one rotation of it is a Lyndon word, whose integral fixed
+    point is an element of the cycle.  One depth-first _walk collects
+    these candidates; each is closed by iteration and rotated to
+    canonical form.  Sorted by (length, start).
+    """
+    pow_m = [p.m**q for q in range(k_max + 1)]
+    candidates = {0}  # from 0, the one Lyndon word that does not end in 1
+    _walk(p.m, pow_m, k_max, candidates, 1, 0, 0, 1, 0)
+    canon = {_close_cycle(p, x, k_max) for x in candidates}
+    return [Cycle(v) for v in sorted(canon, key=lambda v: (len(v), v[0]))]
 
 
 def scan_exact(m: int, k: int, start: int, stop: int):

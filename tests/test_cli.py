@@ -370,7 +370,7 @@ MOVED_TO_REFERENCE = {
     density: ("ShadedCell", "DensityColumn", "MAX_BINOMIAL_K", "initial_column",
               "next_column", "binomial_reference"),
     bigmath: ("LESS", "EQUAL", "GREATER", "cmp_pow"),
-    diophantine: ("cycle_candidate",),
+    diophantine: ("cycle_candidate", "_walk"),
 }
 
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from mxplus1 import (Classification, DiophantineEq, MapParams, ParityVector,
                      T3, T5, classify, equation_of_vector, find_cycles,
                      iterate, parity_vector, residue_of_vector, solve, step)
-from mxplus1 import diophantine
-from reference import cycle_candidate
+from mxplus1.diophantine import MAX_CYCLE_SEARCH_K
+import reference
+from reference import cycle_candidate, lyndon_cycles
 
 
 def _vec(bits):
@@ -81,6 +82,16 @@ def test_find_cycles_m3_k1():
     assert [c.values for c in find_cycles(T3, 1)] == [(-1,), (0,)]
 
 
+def test_find_cycles_where_the_divisor_is_a_unit():
+    # |2**t - m**k2| = 1 at t=1 (k2 = 0, and k2 = 1 for m=3), at t=2 with
+    # k2=1 (the loop <1, 2>) and at t=3 with k2=2 (9 - 8, the loop through
+    # -5): every half-word pair there is a fixed point, and at k_max = 3
+    # these loops come from no other word.  For m=7, 8 - 7 = 1 gives <1 4 2>.
+    got = [c.values for c in find_cycles(T3, 3)]
+    assert got == [(-1,), (0,), (1, 2), (-5, -7, -10)]
+    assert (1, 4, 2) in [c.values for c in find_cycles(MapParams(7), 3)]
+
+
 def test_find_cycles_m3_census():
     got = [c.values for c in find_cycles(T3, 12)]
     assert got == [
@@ -129,35 +140,44 @@ def _reference_cycles(p, k_max):
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 2**40 + 1])
 def test_find_cycles_matches_vector_enumeration(m):
-    # At k_max = 14 the walk's recursion nests up to 15 calls deep.
     p = MapParams(m)
     for k_max in range(1, 15):
         assert [c.values for c in find_cycles(p, k_max)] == _reference_cycles(p, k_max)
 
 
 def test_find_cycles_memory_is_bounded_by_k_max():
-    # The depth-first walk holds at most k_max + 1 calls: about 4 KB.
-    tracemalloc.start()
-    try:
-        find_cycles(T3, 18)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 << 10
+    # The folds of the half-words hold about 2**(k_max / 2 + 1) offsets:
+    # about 42 KiB at k_max = 18 and 1.2 MB at the budget, where a search
+    # that held 2**k_max of anything would not fit.
+    for k_max, bound in ((18, 64 << 10), (MAX_CYCLE_SEARCH_K, 4 << 20)):
+        tracemalloc.start()
+        try:
+            find_cycles(T3, k_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
+@pytest.mark.parametrize("m, k_top", [(3, 20), (5, 20), (7, 20), (11, 20), (2**40 + 1, 14)])
+def test_meet_in_the_middle_matches_lyndon_walk(m, k_top):
+    p = MapParams(m)
+    for k_max in range(1, k_top + 1):
+        assert find_cycles(p, k_max) == lyndon_cycles(p, k_max)
 
 
 def _lyndon_levels(monkeypatch, m, k_max):
     """(t, Lyndon nodes of length t) for t = 1..k_max, recorded by a spy
-    on diophantine._walk: every call below the root starts one Lyndon
+    on reference._walk: every call below the root starts one Lyndon
     word, of length `period`.  The seed word 0 is walked by the root."""
-    walk, calls = diophantine._walk, []
+    walk, calls = reference._walk, []
 
     def spy(m, pow_m, k_max, found, t, c, k2, period, bits):
         calls.append((c, k2, period, bits))
         walk(m, pow_m, k_max, found, t, c, k2, period, bits)
 
-    monkeypatch.setattr(diophantine, "_walk", spy)
-    find_cycles(MapParams(m), k_max)
+    monkeypatch.setattr(reference, "_walk", spy)
+    lyndon_cycles(MapParams(m), k_max)
     levels = {1: [(0, 0, 1, 0)]}
     for node in calls[1:]:
         levels.setdefault(node[2], []).append(node)
