@@ -153,9 +153,9 @@ def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
     once, grouped by odd count (a word of length L extends one of L - 1
     by a bit: c, or m*c + 2**(L-1)), and for each t and split (k2(u),
     k2(v)) the residues of the c(v) are joined to those of the c(u).
-    Where |d| = 1 every residue is 0 and every pair a hit.  Each hit is
-    closed by iteration and rotated to canonical form; the set drops
-    rotations and powers of shorter words.  Sorted by (length, start).
+    Where |d| = 1 every residue is 0 and every pair a hit.  Each cycle is
+    closed once, by iteration from its first hit, and rotated to
+    canonical form; its other hits are skipped.  Sorted by (length, start).
     Memory grows as 2**(k_max / 2), the longest folds; time as k_max
     times that.
     """
@@ -186,5 +186,9 @@ def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
                     candidates.update((a_v * cu + (cv << h)) // d
                                       for cu in us if (r := f * cu % n) in keys
                                       for cv in vs if cv % n == r)
-    canon = {_close_cycle(p, x, k_max) for x in candidates}
-    return [Cycle(v) for v in sorted(canon, key=lambda v: (len(v), v[0]))]
+    cycles, closed = [], set()
+    for x in candidates:
+        if x not in closed:
+            cycles.append(_close_cycle(p, x, k_max))
+            closed.update(cycles[-1])
+    return [Cycle(v) for v in sorted(cycles, key=lambda v: (len(v), v[0]))]

@@ -4,19 +4,32 @@ The table's totals claim that any window of 2**k consecutive starts
 contains exactly N survivors of the slope criterion.  This module checks
 that claim the hard way: decide every start of a window, track the
 first coefficient drop (m**k2 < 2**j) and the first actual value drop
-(T^(j)(n) < n), and tally.  A residue sieve goes first, once per
-window: the first j parity bits of n, and so 2**j*T^(j)(n) = m**k2*n +
-c, depend only on n mod 2**j (Terras 1976).  The residues mod 2**s,
-stepped once, show the starts that drop in coefficient and in value at
-one step j <= s < k; only the others are stepped, in chunks of
-_STEPPED of them.  Chunks are summed, so the result is
-bit-identical for any chunking or worker count.  Each runs one
-vectorized scan that holds each value in int64 limbs: one limb while a
-conservative bound keeps every value below 2**62, more past it.
+(T^(j)(n) < n), and tally.
 
-The same limb stepper computes packed parity codes for the periodicity
-check: parity vectors of length k repeat with period 2**k, and the
-2**k vectors of one window are all distinct (Terras 1976).
+It decides them class by class.  The first j parity bits of n, and so
+2**j*T^(j)(n) = m**k2*n + c, depend only on n mod 2**j (Terras 1976),
+and a window of 2**k starts meets every class mod 2**k once.  So the
+scan walks the tree of classes: a class r mod 2**j with no coefficient
+drop yet and value v = T^(j)(r) has the children r, with value v, and
+r + 2**j, with value v + m**k2, each stepped once.  A child that drops
+is pruned, and the leaves at level k are the survivors.  Brute force
+for k <= MAX_ORACLE_K thus means exhaustive over the classes mod 2**k:
+the walk steps the map on integers, and shares with the recursion of
+density only bigmath's table of power thresholds.  Of a class that
+drops, every start but its least, r, drops in value at the same step;
+the few r that do not are stepped one by one.
+
+Values are wrapping uint64, whose low 64 - j bits are exact after j
+steps: only parities are read, and a class that drops never wraps (see
+_walk).  A level of the walk holds at most _WIDTH classes: it goes
+breadth first while a level fits, then hands out slices of roots whose
+subtrees fit.  Slices are summed, so the result is bit-identical for
+any slicing or worker count.
+
+The periodicity check steps each start on its own, on exact int64
+limbs: parity vectors of length k repeat with period 2**k, and the
+2**k vectors of one window are all distinct (Terras 1976).  This is the
+fact the walk rests on, checked on the integers themselves.
 """
 
 from __future__ import annotations
@@ -29,13 +42,12 @@ import numpy as np
 
 from .bigmath import _coefficient_limits
 from .density import density_series
-from .trajectory import MapParams
+from .trajectory import MapParams, _first_drops
 
 MAX_ORACLE_K = 26
 MAX_PERIODICITY_K = 20
 _CHUNK = 1 << 16  # periodicity_window's chunk width
-_STEPPED = 1 << 13  # hard starts an oracle chunk steps (the last fewer)
-_SIEVE_BITS = 14
+_WIDTH = 1 << 13  # the most classes a level of the oracle's walk holds
 
 
 @dataclass(frozen=True)
@@ -112,11 +124,6 @@ def _range_limbs(start: int, offsets: np.ndarray, count: int,
     return limbs
 
 
-def _limbs_to_ints(limbs: list[np.ndarray], width: int) -> list[int]:
-    return [sum(x << (width * i) for i, x in enumerate(col))
-            for col in zip(*(limb.tolist() for limb in limbs))]
-
-
 def _step_limbs(v: list[np.ndarray], odd: np.ndarray, m_limbs: list[int],
                 width: int) -> None:
     """One step of the map on limbs, in place: (m*v + 1) >> 1 where odd
@@ -150,120 +157,6 @@ def _step_limbs(v: list[np.ndarray], odd: np.ndarray, m_limbs: list[int],
         v[s] >>= 1
         v[s] |= term
     v[top] >>= 1
-
-
-def _limbs_less(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
-    """a < b, comparing limbs from the top one down."""
-    less = a[-1] < b[-1]
-    equal = a[-1] == b[-1]
-    for x, y in zip(a[-2::-1], b[-2::-1]):
-        less |= equal & (x < y)
-        equal &= x == y
-    return less
-
-
-def _sieve(m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """First drops of the residues r = 0 .. 2**s - 1, as (fc, top).
-
-    Every n = r + u*2**s has r's first s parity bits.  fc[r] is their
-    first step j <= s with m**k2 < 2**j (0 = none).  With a = m**k2,
-    T^(j)(n) = T^(j)(r) + u*a*2**(s-j), so n drops below itself at step
-    j iff u*2**(s-j)*(2**j - a) > T^(j)(r) - r; top[r] is the largest n
-    that does not (-1 where fc[r] = 0).  A chunk steps the starts with
-    fc = 0 or at or below their top: a top too large only steps more
-    starts, one too small would skip starts that add to a tally.
-
-    At a first drop k2 = lim[j] - 1 (it was lim[j-1] or more a step
-    before, and lim[j] <= lim[j-1] + 1), so a < 2**j <= 2**s.  And
-    T^(j)(r) = (a*r + c) / 2**j < r + j/m < 2**(s+1): c/2**j is
-    a/(m*2**j) times the sum, over odd steps i, of 2**i / m**(odd steps
-    before i), each term at most 1 before the drop.  So the low limb
-    holds T^(j)(r) and top fits int64.
-    """
-    lim = _coefficient_limits(m, s)
-    width = _limb_width(m)
-    m_limbs = _int_limbs(m, width)
-    v = _range_limbs(0, np.arange(1 << s, dtype=np.int64),
-                     _limb_count(m, s, 1 << s, width), width)
-    k2 = np.zeros(1 << s, dtype=np.int8)
-    fc = np.zeros_like(k2)
-    top = np.full(1 << s, -1, dtype=np.int64)
-    for j in range(1, s + 1):
-        odd = v[0] & 1
-        k2 += odd.astype(np.int8)
-        _step_limbs(v, odd, m_limbs, width)
-        new = np.flatnonzero((fc == 0) & (k2 < lim[j]))
-        if new.size:
-            fc[new] = j
-            den = (1 << s) - (m ** (lim[j] - 1) << (s - j))
-            top[new] = new + (v[0][new] - new) // den * (1 << s)
-    return fc, top
-
-
-def _window_sieve(m: int, k: int) -> tuple[int, np.ndarray, list[int]]:
-    """(s, hard, low) for every chunk of a window of 2**k: s =
-    min(_SIEVE_BITS, k - 1), the residues r mod 2**s with fc[r] = 0 and
-    the starts n <= top[n mod 2**s] of the others (n <= 17 for m <= 11)."""
-    s = min(_SIEVE_BITS, k - 1)
-    fc, top = _sieve(m, s)
-    tops = np.flatnonzero(top >= np.arange(1 << s)).tolist()
-    low = [n for r in tops for n in range(r, int(top[r]) + 1, 1 << s)]
-    return s, np.flatnonzero(fc == 0), low
-
-
-def _scan_limbs(m: int, k: int, start: int, stop: int,
-                sieve: tuple[int, np.ndarray, list[int]]):
-    """Vectorized scan of one chunk: the tallies of _first_drops on
-    each start.  It steps only the starts r + u*2**s of the hard
-    residues r, listed block by block in increasing order, and those in
-    low: every other start drops in coefficient and in value at one step
-    j <= s < k, has fc = fa = j < k and adds to no tally.
-
-    Every value is a list of int64 limbs, least significant first: one
-    limb while _limb_count's bound stays below 2**62, otherwise limbs
-    of _limb_width(m) bits, so m*v + 1 always fits.  The coefficient
-    drop is the test k2 < lim[j].
-
-    A start is settled once both its drops are found, and from then on
-    adds to no tally (a coefficient drop before step k counts toward
-    neither gt nor ge).  The live arrays are compacted whenever they
-    have halved, but not after the last step, where a coefficient drop
-    at step k still counts toward ge.  Compaction keeps order.
-    """
-    s, hard, low = sieve
-    offsets = np.add.outer(np.arange(-(start % (1 << s)), stop - start,
-                                     1 << s), hard).ravel()
-    lo, hi = np.searchsorted(offsets, (0, stop - start))
-    offsets = offsets[lo:hi]
-    extra = [n - start for n in low if start <= n < stop]
-    if extra:
-        offsets = np.union1d(offsets, extra)
-    lim = _coefficient_limits(m, k)
-    width = _limb_width(m)
-    m_limbs = _int_limbs(m, width)
-    n0 = _range_limbs(start, offsets, _limb_count(m, k, stop, width), width)
-    v = [limb.copy() for limb in n0]
-    # odd-step counts and first-drop steps (0 = none yet); k <= 26 fits int8
-    k2 = np.zeros(offsets.size, dtype=np.int8)
-    fc = np.zeros_like(k2)
-    fa = np.zeros_like(k2)
-    for j in range(1, k + 1):
-        odd = v[0] & 1
-        k2 += odd.astype(np.int8)
-        _step_limbs(v, odd, m_limbs, width)
-        np.putmask(fc, (fc == 0) & (k2 < lim[j]), j)
-        np.putmask(fa, (fa == 0) & _limbs_less(v, n0), j)
-        if j < k:
-            live = (fc == 0) | (fa == 0)
-            if 2 * np.count_nonzero(live) <= k2.size:
-                n0 = [limb[live] for limb in n0]
-                v = [limb[live] for limb in v]
-                k2, fc, fa = k2[live], fc[live], fa[live]
-    gt = int(np.count_nonzero(fc == 0))
-    ge = gt + int(np.count_nonzero(fc == k))
-    agt = int(np.count_nonzero(fa == 0))
-    differ = (fc == 0) != (fa == 0)
-    return gt, ge, agt, _limbs_to_ints([limb[differ] for limb in n0], width)
 
 
 def _parity_codes(m: int, k: int, start: int, size: int) -> np.ndarray:
@@ -307,15 +200,77 @@ def periodicity_window(p: MapParams, k: int, start: int) -> tuple[int, bool]:
     return int(np.count_nonzero(seen)), repeats_ok
 
 
-def _scan_chunk(args: tuple):
-    return _scan_limbs(*args)
+def _children(j: int, r: np.ndarray, v: np.ndarray, k2: np.ndarray,
+              pow_m: np.ndarray):
+    """The classes mod 2**(j+1) under (r, v, k2) mod 2**j, stepped once:
+    r keeps its value v, r + 2**j takes v + m**k2 (pow_m[i] = m**i)."""
+    r = np.concatenate((r, r + (1 << j)))
+    v = np.concatenate((v, v + pow_m.take(k2)))
+    k2 = np.concatenate((k2, k2))
+    odd = v & 1
+    v = np.where(odd, v * pow_m[1] + 1, v) >> 1
+    k2 += odd.astype(np.int8)
+    return r, v, k2
+
+
+def _walk(m: int, k: int, offset: int, width: int, j: int, r: np.ndarray,
+          v: np.ndarray, k2: np.ndarray):
+    """Walk the classes (r, v, k2) mod 2**j down the tree, breadth
+    first, while the children of a level fit in width, to level k at
+    most.  Returns the last level's (j, r, v, k2), how many classes
+    dropped at step k, and the low starts: the starts of the window
+    [offset, offset + 2**k) that keep their value at their class's drop.
+
+    A child drops at step j when k2 < lim[j].  Then k2 = lim[j] - 1 (it
+    was lim[j-1] or more a step before, and lim[j] <= lim[j-1] + 1), so
+    a = m**k2 < 2**j.  A start n = r + u*2**j has T^(j)(n) = T^(j)(r) +
+    u*a, so it drops in value at step j iff u*(2**j - a) > T^(j)(r) - r.
+    After i steps, T^(i)(r) = (a*r + c) / 2**i with c/2**i = a/(m*2**i)
+    times the sum, over odd steps t, of 2**t / m**(odd steps before t),
+    and each term is at most 1 before the drop.  So T^(j)(r) - r < j/m,
+    which is at most 2**j - a for j <= 26 (for m < 27 by the tests, and
+    j/m < 1 past it): every start but r drops in value at step j, and r
+    does iff T^(j)(r) < r.
+
+    No value on the way to a drop wraps: a class r < 2**(i+1) has
+    T^(i)(r) < a*(2 + i/m), and up to a drop at step j <= 26, k2 never
+    falls, so every a, and m*a at an odd step, is below 2**j, and every
+    value below 2**31.
+    """
+    lim = _coefficient_limits(m, k)
+    pow_m = np.array([pow(m, i, 1 << 64) for i in range(k + 1)], dtype=np.uint64)
+    dropped, low = 0, []
+    while j < k and 2 * r.size <= width:
+        r, v, k2 = _children(j, r, v, k2, pow_m)
+        j += 1
+        drop = k2 < lim[j]
+        if j == k:
+            dropped = int(np.count_nonzero(drop))
+        # r < 2**k: in the window iff r >= offset
+        low += [n for n in r[drop & (v >= r)].tolist() if n >= offset]
+        keep = np.flatnonzero(~drop)
+        r, v, k2 = r.take(keep), v.take(keep), k2.take(keep)
+    return j, r, v, k2, dropped, low
+
+
+def _slice(task: tuple) -> tuple[int, int, list[int]]:
+    """(leaves, classes dropped at step k, low starts) of one slice of
+    roots, walked to level k: a width of 2**k fits every level."""
+    _, r, _, _, dropped, low = _walk(*task)
+    return r.size, dropped, low
 
 
 def _scan_window(p: MapParams, k: int, offset: int,
                  jobs: int) -> tuple[int, int, int, list[int]]:
-    """Validate, scan [offset, offset + 2**k) chunk by chunk and sum the
-    chunks' (gt, ge, agt, mismatches); chunks come back in order, so
-    the mismatches stay increasing."""
+    """Validate and walk [offset, offset + 2**k): (gt, ge, agt,
+    mismatches), the mismatches in increasing order.
+
+    The walk goes breadth first while a level fits _WIDTH, to a level j,
+    and then hands out slices of _WIDTH >> (k - j) roots (at least one):
+    a level of a slice then holds at most _WIDTH classes, since j >=
+    log2(_WIDTH) and k <= 2*log2(_WIDTH).  The low starts are decided
+    one by one: each one is a mismatch iff it never drops in value.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if k > MAX_ORACLE_K:
@@ -324,31 +279,28 @@ def _scan_window(p: MapParams, k: int, offset: int,
         raise ValueError("offset must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    s, hard, _ = sieve = _window_sieve(p.m, k)
-    end = offset + (1 << k)
-    # chunks start at offset and at every _STEPPED-th hard start after it:
-    # the j-th from block u = offset >> s on is (u + j//h)*2**s + hard[j % h]
-    u, h = offset >> s, hard.size
-    first = int(np.searchsorted(hard, offset - (u << s)))
-    cuts = [(u + j // h << s) + int(hard[j % h])
-            for j in range(first + _STEPPED, h << (k - s + 1), _STEPPED)]
-    bounds = [offset, *(n for n in cuts if n < end), end]
-    tasks = [(p.m, k, a, b, sieve) for a, b in zip(bounds, bounds[1:])]
-    # no more workers than chunks or cores: a pool starts all of them
+    root = np.zeros(1, np.uint32), np.zeros(1, np.uint64), np.zeros(1, np.int8)
+    j, r, v, k2, dropped, low = _walk(p.m, k, offset, _WIDTH, 0, *root)
+    size = max(1, _WIDTH >> (k - j))
+    tasks = [(p.m, k, offset, 1 << k, j, r[i:i + size], v[i:i + size],
+              k2[i:i + size]) for i in range(0, r.size, size)]
+    # no more workers than slices or cores: a pool starts all of them
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:
-        results = map(_scan_chunk, tasks)
+        results = map(_slice, tasks)
     else:
+        # slices go in batches, four per worker: sent one by one, they
+        # cost more than a second worker saves
+        batch = -(-len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, tasks))
-    gt = ge = agt = 0
-    mismatches: list[int] = []
-    for c_gt, c_ge, c_agt, c_mismatches in results:
-        gt += c_gt
-        ge += c_ge
-        agt += c_agt
-        mismatches += c_mismatches
-    return gt, ge, agt, mismatches
+            results = list(pool.map(_slice, tasks, chunksize=batch))
+    gt = 0
+    for s_gt, s_dropped, s_low in results:
+        gt += s_gt
+        dropped += s_dropped
+        low += s_low
+    mismatches = [n for n in sorted(low) if not _first_drops(p.m, n, k)[1]]
+    return gt, gt + dropped, gt + len(mismatches), mismatches
 
 
 def count_window(p: MapParams, k: int, offset: int = 1, *,

@@ -15,7 +15,7 @@
 - _walk and lyndon_cycles: the cycle census from the Lyndon words alone,
   walked depth first with their own offset recurrence, which checks the
   meet in the middle of diophantine.find_cycles.
-- scan_exact: oracle._scan_limbs' tallies from the scalar walk, start
+- scan_exact: oracle._scan_window's results from the scalar walk, start
   by start.
 
 A reference may import mxplus1.trajectory and mxplus1.diophantine, but
@@ -196,8 +196,8 @@ def lyndon_cycles(p: MapParams, k_max: int) -> list[Cycle]:
 
 
 def scan_exact(m: int, k: int, start: int, stop: int):
-    """The tallies of oracle._scan_limbs, start by start; exact for any
-    m, k and start >= 1.
+    """The four results of oracle._scan_window, start by start; exact
+    for any m, k and start >= 1.
 
     Each start's first drops come from the scalar walk behind the public
     stopping times.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mxplus1 import (Classification, DiophantineEq, MapParams, ParityVector,
                      T3, T5, classify, equation_of_vector, find_cycles,
                      iterate, parity_vector, residue_of_vector, solve, step)
+from mxplus1 import diophantine
 from mxplus1.diophantine import MAX_CYCLE_SEARCH_K
 import reference
 from reference import cycle_candidate, lyndon_cycles
@@ -118,6 +119,22 @@ def test_find_cycles_close_and_are_distinct():
             assert traj.values[-1] == c.start
             assert traj.values[:-1] == c.values
 
+
+
+def test_find_cycles_closes_each_cycle_once(monkeypatch):
+    # The join finds every rotation of a cycle's word, but only the first
+    # element found is iterated: one close per cycle, where closing every
+    # hit took 18 closes for the 5 cycles of m=3 at k_max = 20.
+    closes, close = [], diophantine._close_cycle
+
+    def spy(p, x, k_max):
+        closes.append(x)
+        return close(p, x, k_max)
+
+    monkeypatch.setattr(diophantine, "_close_cycle", spy)
+    for p in (T3, T5, MapParams(7)):
+        closes.clear()
+        assert len(find_cycles(p, 20)) == len(closes)
 
 def _reference_cycles(p, k_max):
     """Cycles from the fixed point of every vector of length <= k_max,

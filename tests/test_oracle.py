@@ -3,17 +3,15 @@ import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mxplus1 import (T3, T5, MapParams, count_window, discrepancy_scan,
-                     periodicity_window)
+from mxplus1 import (T3, T5, MapParams, count_window, density_series,
+                     discrepancy_scan, iterate, periodicity_window)
 from mxplus1 import oracle
-from mxplus1.oracle import (_coefficient_limits, _limb_count, _limb_width,
-                            _parity_codes, _scan_chunk, _sieve, _step_bound,
-                            _window_sieve)
+from mxplus1.oracle import (MAX_ORACLE_K, _coefficient_limits, _limb_count,
+                            _limb_width, _parity_codes, _step_bound)
 from mxplus1.trajectory import _first_drops, _parity_code
 from reference import LESS, cmp_pow, scan_exact
 
@@ -45,7 +43,6 @@ def test_count_window_k10_full_tallies():
 @pytest.mark.parametrize("p", [T3, T5], ids=["m3", "m5"])
 def test_shaded_equivalence(p):
     # chi = k happens for exactly the shaded count of column k
-    from mxplus1 import density_series
     series = density_series(p, 12, 1)
     for k in range(1, 13):
         rep = count_window(p, k)
@@ -53,22 +50,37 @@ def test_shaded_equivalence(p):
             series.points[k].shaded_count
 
 
-def _chunk(m: int, k: int, start: int, stop: int):
-    """One chunk scanned as a window of 2**k scans it, with its sieve."""
-    return _scan_chunk((m, k, start, stop, _window_sieve(m, k)))
+def _window(m: int, k: int, offset: int):
+    """The four results of the window [offset, offset + 2**k)."""
+    return oracle._scan_window(MapParams(m), k, offset, 1)
 
 
 @contextmanager
-def _spy_chunks():
-    """(start, stop) of every chunk an in-process scan runs, in order."""
-    chunks, scan = [], oracle._scan_chunk
+def _spy_levels():
+    """(j, r, v, k2) of every level of classes an in-process walk
+    steps, before it prunes them, in order."""
+    levels, children = [], oracle._children
 
-    def spy(args):
-        chunks.append(args[2:4])
-        return scan(args)
+    def spy(j, *args):
+        out = children(j, *args)
+        levels.append((j + 1, *out))
+        return out
 
-    with mock.patch.object(oracle, "_scan_chunk", spy):
-        yield chunks
+    with mock.patch.object(oracle, "_children", spy):
+        yield levels
+
+
+@contextmanager
+def _spy_decided():
+    """The starts an in-process walk decides one by one, in order."""
+    starts, first_drops = [], oracle._first_drops
+
+    def spy(m, n, cap):
+        starts.append(n)
+        return first_drops(m, n, cap)
+
+    with mock.patch.object(oracle, "_first_drops", spy):
+        yield starts
 
 
 def test_window_invariance_three_offsets():
@@ -83,29 +95,19 @@ def test_window_invariance_three_offsets():
 
 
 def test_partition_determinism(monkeypatch):
-    # A sieve of 7 bits has 13 hard residues for m=3, so the window of
-    # 2**10 holds 104 hard starts: 104, 6, 4, 2 and 1 chunks.
-    monkeypatch.setattr(oracle, "_SIEVE_BITS", 7)
-    monkeypatch.setattr(oracle, "_STEPPED", 1 << 18)
+    # From one root per slice (width 1) to the default width, the walk
+    # is sliced differently and reads the same window.
     base = count_window(T3, 10)
-    for stepped, chunks in ((1, 104), (20, 6), (26, 4), (60, 2), (104, 1)):
-        monkeypatch.setattr(oracle, "_STEPPED", stepped)
-        with _spy_chunks() as spans:
-            rep = count_window(T3, 10)
-        assert len(spans) == chunks
-        assert (rep.count_coefficient_gt, rep.count_coefficient_ge,
-                rep.count_actual_gt) == (base.count_coefficient_gt,
-                                         base.count_coefficient_ge,
-                                         base.count_actual_gt)
+    for width in (1, 2, 4, 16, 64, 1 << 13):
+        monkeypatch.setattr(oracle, "_WIDTH", width)
+        assert count_window(T3, 10) == base
+        assert discrepancy_scan(T3, 10) == [1]
 
 
 def test_jobs_bit_identical(monkeypatch):
-    # 38 hard residues mod 2**9 for m=3: 8 chunks of 38 hard starts
-    monkeypatch.setattr(oracle, "_SIEVE_BITS", 9)
-    monkeypatch.setattr(oracle, "_STEPPED", 38)
-    with _spy_chunks() as spans:
-        seq = count_window(T3, 12, jobs=1)
-    assert len(spans) == 8
+    # a width of 64 cuts the m=3 window of 2**12 into 5 slices
+    monkeypatch.setattr(oracle, "_WIDTH", 64)
+    seq = count_window(T3, 12, jobs=1)
     par = count_window(T3, 12, jobs=4)
     assert seq == par
     assert discrepancy_scan(T3, 12, jobs=4) == discrepancy_scan(T3, 12, jobs=1)
@@ -127,7 +129,7 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, chunksize=1):
         self.tasks.append(len(tasks))
         return map(fn, tasks)
 
@@ -138,26 +140,26 @@ def test_worker_count_capped(monkeypatch, cpus):
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "tasks", [])
-    # 38 hard residues mod 2**9 for m=3: the window holds 8*38 hard
-    # starts, so 38 stepped starts make 8 chunks and 8*38 one
-    monkeypatch.setattr(oracle, "_SIEVE_BITS", 9)
-    monkeypatch.setattr(oracle, "_STEPPED", 38)
+    # a width of 64 walks the m=3 window of 2**12 breadth first to the 38
+    # classes of level 9, and hands them out in 5 slices of 8
+    monkeypatch.setattr(oracle, "_WIDTH", 64)
     seq = count_window(T3, 12, jobs=1)
-    # 8 chunks: the pool gets no more workers than chunks or cores
+    # 5 slices: the pool gets no more workers than slices or cores
     assert count_window(T3, 12, jobs=5000) == seq
     assert discrepancy_scan(T3, 12, jobs=3) == discrepancy_scan(T3, 12, jobs=1)
     cores = cpus or 1
-    expected = [n for n in (min(8, cores), min(3, cores)) if n > 1]
+    expected = [n for n in (min(5, cores), min(3, cores)) if n > 1]
     assert _RecordingPool.sizes == expected
-    assert _RecordingPool.tasks == [8] * len(expected)
-    # a one-chunk window never starts a pool
-    monkeypatch.setattr(oracle, "_STEPPED", 8 * 38)
-    count_window(T3, 12, jobs=5000)
+    assert _RecordingPool.tasks == [5] * len(expected)
+    # a one-slice window never starts a pool
+    monkeypatch.setattr(oracle, "_WIDTH", 1 << 13)
+    assert count_window(T3, 12, jobs=5000) == seq
     assert _RecordingPool.sizes == expected
 
 
 def _first_stop_on_limbs(m: int, k: int, count: int) -> int:
-    """Least stop whose chunks run on at least `count` limbs."""
+    """Least stop whose starts the limb stepper holds on at least
+    `count` limbs: past it, values no longer fit one int64."""
     width = _limb_width(m)
     lo, hi = 0, 1 << (width * count + 1)
     while hi - lo > 1:
@@ -170,188 +172,185 @@ def _first_stop_on_limbs(m: int, k: int, count: int) -> int:
 @pytest.mark.parametrize("offset", [1, 7])
 def test_fast_path_matches_exact_path(m, offset):
     # A window from the offset, and windows ending `offset` below and
-    # above the one-limb/two-limb bound (the int64 bound).
-    width = _limb_width(m)
+    # above the bound past which values no longer fit one int64: the
+    # walk's wrapping values read as the start-by-start scan on both
+    # sides of it.
     for k in range(1, 11):
         bound = _first_stop_on_limbs(m, k, 2)
-        for stop, limbs in ((offset + (1 << k), 1), (bound - offset, 1),
-                            (bound + offset, 2)):
+        for stop in (offset + (1 << k), bound - offset, bound + offset):
             start = stop - (1 << k)
-            assert _limb_count(m, k, stop, width) == limbs
-            fast = _chunk(m, k, start, stop)
-            exact = scan_exact(m, k, start, stop)
-            assert fast[:3] == exact[:3]
-            assert list(fast[3]) == list(exact[3])
+            assert _window(m, k, start) == scan_exact(m, k, start, stop)
 
 
 @given(m=st.sampled_from([3, 5, 7, 9]),
        k=st.integers(min_value=1, max_value=14),
        start=st.integers(min_value=1, max_value=1 << 24),
-       size=st.sampled_from([1, 7, 37]) | st.integers(min_value=1, max_value=1 << 14),
+       width=st.sampled_from([1, 4, 64, 1 << 13]),
        near=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_fast_chunk_equals_exact_chunk(m, k, start, size, near):
-    # Sizes 1, 7 and 37 leave the live arrays at odd lengths, so the
-    # halving test fires at uneven points of the scan.  A near chunk
-    # ends at most 4 below the one-limb bound, where values approach
-    # 2**62 and a one-limb value is wider than _limb_width(m).
+def test_fast_chunk_equals_exact_chunk(m, k, start, width, near):
+    # Windows anywhere below 2**24, or ending at most 4 below the bound
+    # past which values no longer fit one int64, walked in slices of
+    # one root (width 1) up to the default width.
     if near:
-        start = _first_stop_on_limbs(m, k, 2) - 1 - start % 4 - size
-    stop = start + size
-    assert _limb_count(m, k, stop, _limb_width(m)) == 1  # one int64 per value
-    assert _chunk(m, k, start, stop) == scan_exact(m, k, start, stop)
+        start = _first_stop_on_limbs(m, k, 2) - 1 - start % 4 - (1 << k)
+    with mock.patch.object(oracle, "_WIDTH", width):
+        assert _window(m, k, start) == scan_exact(m, k, start, start + (1 << k))
 
 
-@pytest.mark.parametrize("m", [3, 5, 7, 2**40 + 1])
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 2**40 + 1])
 def test_sieve_table_is_exact(m):
-    # Every residue r mod 2**s against the scalar walk of n = r + u*2**s,
-    # u from 0 to two past top[r]: fc[r] is each n's first coefficient
-    # drop within s steps, and n drops in value at that step iff
-    # n > top[r].  A top one class too high (rounding u up) fails here.
+    # Every class the walk to level s reaches, against the scalar walk of
+    # its starts n = r + u*2**j, u = 0..2: a class that drops at level j
+    # has fc = j for each n, its value is T^(j)(r), below 2**(j+1), and n
+    # drops in value at step j unless n = r and T^(j)(r) >= r; a class
+    # left at level s has fc = 0.  Over the windows from 1 to 6*2**s, the
+    # walk decides n one by one iff n does not drop in value at its fc.
+    p = MapParams(m)
     for s in range(1, 11):
-        fc, top = _sieve(m, s)
-        for r in range(1 << s):
-            assert (fc[r] == 0) == (top[r] == -1)
-            for u in range(max(int(top[r]) - r, 0) // (1 << s) + 3):
-                n = r + u * (1 << s)
-                if n == 0:
+        lim = _coefficient_limits(m, s)
+        with _spy_levels() as levels:
+            _window(m, s, 1)
+        for j, rs, vs, k2s in levels:
+            for r, v, k2 in zip(rs.tolist(), vs.tolist(), k2s.tolist()):
+                drop = k2 < lim[j]
+                if drop:
+                    assert v == iterate(p, r, j).values[-1] < 2 ** (j + 1)
+                elif j < s:
                     continue
-                n_fc, n_fa = _first_drops(m, n, s)
-                assert n_fc == fc[r]
-                if fc[r]:
-                    assert (n_fa == fc[r]) == (n > top[r]), (s, r, n)
+                for n in range(r or 2**j, r + 3 * 2**j, 2**j):
+                    fc, fa = _first_drops(m, n, s)
+                    assert fc == (j if drop else 0)
+                    if drop:
+                        assert (fa == j) == (n > r or v < r), (s, j, n)
+        with _spy_decided() as decided:
+            for t in range(6):
+                _window(m, s, 1 + t * 2**s)
+        want = []
+        for n in range(1, 1 + 6 * 2**s):
+            fc, fa = _first_drops(m, n, s)
+            if fc and fa != fc:
+                want.append(n)
+        assert sorted(decided) == want, s
+
+
+def test_every_start_but_the_least_drops_with_its_class():
+    # At a drop at step j, T^(j)(r) - r < j/m, so n = r + u*2**j drops in
+    # value for every u >= 1 iff 2**j - a >= j/m, a the largest power of
+    # m below 2**j: so for every odd m < 27 and j <= 26 (past 26, j/m < 1
+    # and 2**j - a >= 1).
+    for m in range(3, 27, 2):
+        for j in range(1, MAX_ORACLE_K + 1):
+            a = 1
+            while a * m < 2**j:
+                a *= m
+            assert m * (2**j - a) >= j, (m, j)
 
 
 @given(m=st.sampled_from([3, 5, 7, 9, 2**40 + 1]),
        k=st.integers(min_value=2, max_value=14),
-       start=st.integers(min_value=1, max_value=64)
-       | st.integers(min_value=1, max_value=1 << 22),
-       size=st.integers(min_value=2, max_value=(1 << 10) - 1)
-       | st.integers(min_value=1, max_value=1 << 13).map(lambda x: x | 1))
+       offset=st.integers(min_value=1, max_value=16),
+       width=st.sampled_from([1, 4, 64, 1 << 13]))
 @settings(max_examples=300, deadline=None)
-def test_small_starts_below_the_sieve_tops(m, k, start, size):
-    # Starts at or below a residue's top are stepped although their
-    # residue drops; sizes off the powers of two cover the residues
-    # unevenly.
-    stop = start + size
-    assert _chunk(m, k, start, stop) == scan_exact(m, k, start, stop)
-
-
-@contextmanager
-def _spy_stepped(record=lambda start, offsets: [start + int(x) for x in offsets]):
-    """What `record` makes of the starts of every _range_limbs call, in
-    order: one call per chunk, and one per sieve, from start 0."""
-    calls, range_limbs = [], oracle._range_limbs
-
-    def spy(start, offsets, count, width):
-        calls.append(record(start, offsets))
-        return range_limbs(start, offsets, count, width)
-
-    with mock.patch.object(oracle, "_range_limbs", spy):
-        yield calls
+def test_small_starts_below_the_sieve_tops(m, k, offset, width):
+    # Windows from the low starts 1 to 16, which hold the starts that
+    # keep their value at their class's drop (1, 13 and 17 for m=5, the
+    # least elements of its positive cycles), decided one by one.
+    with mock.patch.object(oracle, "_WIDTH", width):
+        assert _window(m, k, offset) == scan_exact(m, k, offset, offset + (1 << k))
 
 
 def test_sieve_bounds_the_stepped_starts():
-    # With m=3 a residue mod 2**14 has no drop within 14 steps for 734
-    # of the 16384 residues, so a chunk of 2**16 starts steps 2936 of
-    # them; without the sieve it steps them all.
-    sieve = _window_sieve(3, 22)
-    start = 1 << 32
-    with _spy_stepped() as calls:
-        _scan_chunk((3, 22, start, start + (1 << 16), sieve))
-    assert [len(c) for c in calls] == [4 * 734]
-
-
-class _Stepped(Exception):
-    pass
-
-
-def _raise_stepped(start, offsets, count, width):
-    raise _Stepped([start + int(x) for x in offsets])
+    # The walk steps only the children of the classes with no
+    # coefficient drop yet: at level j, summed over its slices, 2*N(j-1)
+    # of the 2**j classes, where N is the table's count (734 of the
+    # 16384 classes mod 2**14 for m=3).
+    with _spy_levels() as levels:
+        count_window(T3, 22)
+    stepped = dict.fromkeys(range(1, 23), 0)
+    for j, r, _, _ in levels:
+        stepped[j] += r.size
+    series = density_series(T3, 22, 1)
+    assert stepped == {j: 2 * series.points[j - 1].N for j in range(1, 23)}
+    assert series.points[14].N == 734
 
 
 @given(m=st.sampled_from([3, 5, 7, 9, 2**40 + 1]),
-       k=st.integers(min_value=1, max_value=26),
-       start=st.integers(min_value=1, max_value=40)
+       k=st.integers(min_value=1, max_value=14),
+       offset=st.integers(min_value=1, max_value=40)
        | st.integers(min_value=1, max_value=1 << 70),
-       size=st.integers(min_value=1, max_value=1 << 12)
-       | st.integers(min_value=1, max_value=1 << 17),
-       near=st.booleans())
+       width=st.sampled_from([1, 4, 64, 1 << 13]))
 @settings(max_examples=200, deadline=None)
-def test_chunk_steps_the_sieved_starts(m, k, start, size, near):
-    # A chunk steps exactly the starts n of a residue with no
-    # coefficient drop within s steps, or at or below the residue's top,
-    # in increasing order.  Starts from 1 reach the tops (up to 17 for
-    # m=5); a near chunk crosses the one-limb bound.
-    if near:
-        start = max(1, _first_stop_on_limbs(m, k, 2) - start % size)
-    s = min(oracle._SIEVE_BITS, k - 1)
-    fc, top = _sieve(m, s)
-    offsets = np.arange(size)
-    res = (offsets + start % (1 << s)) % (1 << s)
-    want = np.flatnonzero((fc[res] == 0) | (offsets <= top[res] - min(start, 1 << 40)))
-    sieve = _window_sieve(m, k)
-    with pytest.raises(_Stepped) as stepped:
-        with mock.patch.object(oracle, "_range_limbs", _raise_stepped):
-            _scan_chunk((m, k, start, start + size, sieve))
-    assert stepped.value.args[0] == [start + int(x) for x in want]
+def test_walk_decides_the_starts_that_keep_their_value(m, k, offset, width):
+    # The walk decides one by one exactly the starts of the window that
+    # do not drop in value at their first coefficient drop, in
+    # increasing order.
+    want = []
+    for n in range(offset, offset + (1 << k)):
+        fc, fa = _first_drops(m, n, k)
+        if fc and fa != fc:
+            want.append(n)
+    with mock.patch.object(oracle, "_WIDTH", width), _spy_decided() as decided:
+        _window(m, k, offset)
+    assert decided == want
 
 
 @given(m=st.sampled_from([3, 5, 7, 9, 2**40 + 1]),
        k=st.integers(min_value=1, max_value=11),
-       bits=st.integers(min_value=1, max_value=14),
-       stepped=st.sampled_from([1, 50, 1 << 14]),
+       width=st.sampled_from([1, 4, 64, 1 << 13]),
        where=st.sampled_from(["low", "far", "bound"]),
        shift=st.integers(min_value=0, max_value=1 << 70))
 @settings(max_examples=150, deadline=None)
-def test_window_sums_the_exact_scan(m, k, bits, stepped, where, shift):
-    # Windows from the low starts (1 to 16, through the tops), anywhere,
-    # and across the one-limb bound, split into chunks whose ends are
-    # off the 2**s block grid; their four results are scan_exact's.
+def test_window_sums_the_exact_scan(m, k, width, where, shift):
+    # Windows from the low starts (1 to 16), anywhere,
+    # and across the bound past which values no longer fit one int64,
+    # walked in slices of any width; their four results are
+    # scan_exact's.
     if where == "low":
         offset = 1 + shift % 16
     elif where == "far":
         offset = 1 + shift
     else:
         offset = max(1, _first_stop_on_limbs(m, k, 2) - 1 - shift % (1 << k))
-    with mock.patch.object(oracle, "_SIEVE_BITS", bits), \
-            mock.patch.object(oracle, "_STEPPED", stepped):
+    with mock.patch.object(oracle, "_WIDTH", width):
         got = oracle._scan_window(MapParams(m), k, offset, 1)
     assert got == scan_exact(m, k, offset, offset + (1 << k))
 
 
-def test_oracle_memory_is_bounded_by_the_stepped_starts():
-    # Chunks of _STEPPED hard starts keep the numpy buffers small.  The
-    # tracemalloc peaks before chunks were sized so (2**16 starts each,
-    # the sieve rebuilt in each) were 1 760 360 and 2 239 704 bytes.
-    # Every chunk but the last steps _STEPPED hard starts, the first one
-    # also the start 1 at its residue's top for m=3.
-    runs = ((lambda: count_window(T5, 18, 2**60 + 1), 1_760_360, 0),
-            (lambda: discrepancy_scan(T3, 20), 2_239_704, 1))
-    for run, bound, low in runs:
+def test_oracle_memory_is_bounded_by_the_width():
+    # No level of the walk, breadth first or in a slice, holds more than
+    # _WIDTH classes, so the numpy buffers stay small: the tracemalloc
+    # peaks of the start-by-start limb scan this walk replaced were
+    # 624 464 and 624 468 bytes.  Both windows are walked in slices.
+    runs = ((lambda: count_window(T5, 18, 2**60 + 1), 18),
+            (lambda: discrepancy_scan(T3, 20), 20))
+    for run, k in runs:
         tracemalloc.start()
         try:
             run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound
-        with _spy_stepped(lambda start, offsets: (start, len(offsets))) as calls:
+        assert peak < 624_464
+        with _spy_levels() as levels:
             run()
-        stepped = [size for start, size in calls if start]  # the sieve's is 0
-        assert len(stepped) > 4
-        assert stepped[0] == oracle._STEPPED + low
-        assert set(stepped[1:-1]) == {oracle._STEPPED}
-        assert 0 < stepped[-1] <= oracle._STEPPED
+        assert max(r.size for _, r, _, _ in levels) <= oracle._WIDTH
+        assert sum(j == k for j, _, _, _ in levels) > 1
 
 
 def test_one_limb_while_the_step_bound_fits():
     # 7**23 exceeds 2**62, but the values of starts up to 2**16 stay
-    # below 2**61, so one limb holds them.
+    # below 2**61, so the limb stepper holds them on one limb.  The walk
+    # wraps the values of m=7 past 2**64 from k=23 on, and reads only
+    # their parities: its window of 2**16 from 2**16 - 255 is the
+    # start-by-start scan's, and at k=23 it reads the limb scan's tallies.
     assert _step_bound(7, 23, 2**16 + 1) < 2**61
     assert _limb_count(7, 23, 2**16 + 1, _limb_width(7)) == 1
     start = 2**16 - 255
-    assert _chunk(7, 23, start, 2**16 + 1) == scan_exact(7, 23, start, 2**16 + 1)
+    assert _window(7, 16, start) == scan_exact(7, 16, start, start + 2**16)
+    rep = count_window(MapParams(7), 23, start)
+    assert (rep.count_coefficient_gt, rep.count_coefficient_ge,
+            rep.count_actual_gt) == (2583086, 2599072, 2583086)
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
@@ -364,62 +363,55 @@ def test_coefficient_limits_against_cmp_pow(m):
 
 
 @pytest.mark.parametrize("m,k", [(3, 10), (5, 10), (7, 8)])
-def test_window_across_int64_bound(monkeypatch, m, k):
-    # The first chunks of this window end below the int64 bound and run
-    # on one limb per value, the later ones end above it and run on two;
-    # the tallies must be the exact scan's and the near window's.  With
-    # a sieve of k - 4 bits, each chunk steps the hard starts of about
-    # two blocks: 2**(k-3) starts.
+def test_window_across_int64_bound(m, k):
+    # A window across the bound past which values no longer fit one
+    # int64 reads the start-by-start scan's four results and the near
+    # window's counts, walked in slices of one root, of a few and of the
+    # default width.
     offset = _first_stop_on_limbs(m, k, 2) - (1 << (k - 1))
     p = MapParams(m)
     near = count_window(p, k, 1)
-    monkeypatch.setattr(oracle, "_SIEVE_BITS", k - 4)
-    monkeypatch.setattr(oracle, "_STEPPED", 2 * _window_sieve(m, k)[1].size)
-    with _spy_chunks() as spans:
-        far = count_window(p, k, offset)
-    limbs = [_limb_count(m, k, stop, _limb_width(m)) for _, stop in spans]
-    assert len(spans) == 8
-    assert limbs == sorted(limbs) and limbs[0] == 1 and limbs[-1] == 2
     gt, ge, agt, mism = scan_exact(m, k, offset, offset + (1 << k))
-    assert (far.count_coefficient_gt, far.count_coefficient_ge,
-            far.count_actual_gt) == (gt, ge, agt)
-    assert discrepancy_scan(p, k, offset) == mism
-    assert far.count_coefficient_gt == near.count_coefficient_gt == near.table_N
-    assert far.count_coefficient_ge == near.count_coefficient_ge
+    for width in (1, 16, 1 << 13):
+        with mock.patch.object(oracle, "_WIDTH", width):
+            far = count_window(p, k, offset)
+            assert discrepancy_scan(p, k, offset) == mism
+        assert (far.count_coefficient_gt, far.count_coefficient_ge,
+                far.count_actual_gt) == (gt, ge, agt)
+        assert far.count_coefficient_gt == near.count_coefficient_gt == near.table_N
+        assert far.count_coefficient_ge == near.count_coefficient_ge
 
 
 @given(m=st.sampled_from([3, 5, 7, 9, 2**40 + 1, 2**70 + 1]),
-       k=st.integers(min_value=1, max_value=14),
+       k=st.integers(min_value=1, max_value=12),
        shift=st.integers(min_value=0, max_value=1 << 100)
-       | st.integers(min_value=1 << 99, max_value=1 << 100),
-       size=st.sampled_from([1, 7, 37]) | st.integers(min_value=1, max_value=1 << 12))
+       | st.integers(min_value=1 << 99, max_value=1 << 100))
 @settings(max_examples=200, deadline=None)
-def test_limb_chunk_equals_exact_chunk(m, k, shift, size):
-    # Every chunk ends past the int64 bound (on two limbs or more), from
-    # just past it to 2**100 beyond; 2**40+1 and 2**70+1 are split into
-    # limbs themselves.
-    start = max(1, _first_stop_on_limbs(m, k, 2) - size) + shift
-    stop = start + size
-    assert _limb_count(m, k, stop, _limb_width(m)) >= 2
+def test_limb_chunk_equals_exact_chunk(m, k, shift):
+    # Every window ends past the bound where values no longer fit one
+    # int64, from just past it to 2**100 beyond; the values of 2**40+1
+    # and 2**70+1 wrap past 2**64 from their second odd step on.
+    start = max(1, _first_stop_on_limbs(m, k, 2) - (1 << k)) + shift
     assert not hasattr(oracle, "_scan_exact")  # the reference lives in the tests
-    assert _chunk(m, k, start, stop) == scan_exact(m, k, start, stop)
+    assert _window(m, k, start) == scan_exact(m, k, start, start + (1 << k))
 
 
 @pytest.mark.parametrize("m", [2**31 - 1, 2**40 + 1, 2**61 - 1, 3**40, 2**70 + 1])
 def test_limb_chunk_wide_multipliers(m):
     # 3**40 and 2**61-1 fill their 31-bit limbs of m, so every product
-    # term carries; random 100-bit starts fill every limb of v.
+    # term of the limb stepper carries; random 100-bit starts fill every
+    # limb of v.  The walk's windows there are the start-by-start scan's.
     rng = random.Random(m)
     for k in range(1, 13):
         start = rng.getrandbits(100)
-        assert _chunk(m, k, start, start + 64) == scan_exact(m, k, start, start + 64)
+        assert _window(m, k, start) == scan_exact(m, k, start, start + (1 << k))
         codes = _parity_codes(m, k, start, 64).tolist()
         assert codes == [_parity_code(m, n, k) for n in range(start, start + 64)]
 
 
 def test_fallback_far_window_matches_near_window():
-    # offsets far beyond the int64-safe bound force the multi-limb path;
-    # window invariance must still hold
+    # an offset far beyond the int64 bound; window invariance must still
+    # hold
     far = 3 * 10**17 + 1
     for k in (4, 6):
         a = count_window(T5, k, 1)
