@@ -151,7 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(o)
     o.add_argument("--k", type=int, required=True, help="window is 2**k starts, k steps")
     o.add_argument("--offset", type=int, default=1, help="first integer of the window")
-    o.add_argument("--jobs", type=int, default=1, help="worker processes")
+    o.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, started only when the window is "
+                        "large enough to pay for them")
     o.add_argument("--format", choices=("text", "json"), default="text")
     o.set_defaults(func=_cmd_oracle)
 

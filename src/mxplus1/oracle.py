@@ -21,10 +21,8 @@ the few r that do not are stepped one by one.
 
 Values are wrapping uint64, whose low 64 - j bits are exact after j
 steps: only parities are read, and a class that drops never wraps (see
-_walk).  A level of the walk holds at most _WIDTH classes: it goes
-breadth first while a level fits, then hands out slices of roots whose
-subtrees fit.  Slices are summed, so the result is bit-identical for
-any slicing or worker count.
+_descend).  It goes in chunks, halved as they grow, that are summed: the
+result is bit-identical for any cut or worker count (see _scan_window).
 
 The periodicity check steps each start on its own, on exact int64
 limbs: parity vectors of length k repeat with period 2**k, and the
@@ -48,6 +46,10 @@ MAX_ORACLE_K = 26
 MAX_PERIODICITY_K = 20
 _CHUNK = 1 << 16  # periodicity_window's chunk width
 _WIDTH = 1 << 13  # the most classes a level of the oracle's walk holds
+# Bound on the class steps each worker must get (the walk takes 0.57-0.96
+# of it): a pool of two starts in 10-13 ms and a class step takes 20 ns
+# (m=3 and 5 at k=26, 2-core Xeon VM), so two pay past 1.3 M steps in all.
+POOL_MIN_STEPS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,8 @@ class OracleReport:
 
 def _step_bound(m: int, k: int, stop: int) -> int:
     """Bound above every m*v + 1 computed within k steps of a start
-    below stop."""
-    # Largest intermediate from a start below `stop` is under
-    # (stop+1) * (m/2)**k; the step computes m*v + 1 before halving.
-    bound = ((stop + 1) * m**k >> k) + 1
-    return m * bound + 1
+    below stop: every value v is under (stop+1) * (m/2)**k."""
+    return m * (((stop + 1) * m**k >> k) + 1) + 1
 
 
 def _limb_width(m: int) -> int:
@@ -101,11 +100,6 @@ def _limb_count(m: int, k: int, stop: int, width: int) -> int:
     if bound < 1 << 62:
         return 1
     return -(-(bound - 1).bit_length() // width)
-
-
-def _int_limbs(n: int, width: int) -> list[int]:
-    mask = (1 << width) - 1
-    return [(n >> i) & mask for i in range(0, n.bit_length(), width)]
 
 
 def _range_limbs(start: int, offsets: np.ndarray, count: int,
@@ -163,7 +157,7 @@ def _parity_codes(m: int, k: int, start: int, size: int) -> np.ndarray:
     """trajectory._parity_code of start, start+1, ..., start+size-1 as
     an int64 array: bit j is the parity of the j-th value."""
     width = _limb_width(m)
-    m_limbs = _int_limbs(m, width)
+    m_limbs = [(m >> i) & ((1 << width) - 1) for i in range(0, m.bit_length(), width)]
     v = _range_limbs(start, np.arange(size, dtype=np.int64),
                      _limb_count(m, k, start + size, width), width)
     code = np.zeros(size, dtype=np.int64)
@@ -213,13 +207,14 @@ def _children(j: int, r: np.ndarray, v: np.ndarray, k2: np.ndarray,
     return r, v, k2
 
 
-def _walk(m: int, k: int, offset: int, width: int, j: int, r: np.ndarray,
-          v: np.ndarray, k2: np.ndarray):
-    """Walk the classes (r, v, k2) mod 2**j down the tree, breadth
-    first, while the children of a level fit in width, to level k at
-    most.  Returns the last level's (j, r, v, k2), how many classes
-    dropped at step k, and the low starts: the starts of the window
-    [offset, offset + 2**k) that keep their value at their class's drop.
+def _descend(k: int, offset: int, width: int, lim: list[int],
+             pow_m: np.ndarray, j: int, r: np.ndarray, v: np.ndarray,
+             k2: np.ndarray):
+    """Walk the classes (r, v, k2) mod 2**j breadth first to level k at
+    most, while the children of a level fit in width (one class always
+    steps).  Returns the last level's (j, r, v, k2), the classes dropped
+    at step k, and the starts of [offset, offset + 2**k) that keep their
+    value at their class's drop.
 
     A child drops at step j when k2 < lim[j].  Then k2 = lim[j] - 1 (it
     was lim[j-1] or more a step before, and lim[j] <= lim[j-1] + 1), so
@@ -237,10 +232,8 @@ def _walk(m: int, k: int, offset: int, width: int, j: int, r: np.ndarray,
     falls, so every a, and m*a at an odd step, is below 2**j, and every
     value below 2**31.
     """
-    lim = _coefficient_limits(m, k)
-    pow_m = np.array([pow(m, i, 1 << 64) for i in range(k + 1)], dtype=np.uint64)
     dropped, low = 0, []
-    while j < k and 2 * r.size <= width:
+    while j < k and (2 * r.size <= width or r.size == 1):
         r, v, k2 = _children(j, r, v, k2, pow_m)
         j += 1
         drop = k2 < lim[j]
@@ -253,11 +246,23 @@ def _walk(m: int, k: int, offset: int, width: int, j: int, r: np.ndarray,
     return j, r, v, k2, dropped, low
 
 
-def _slice(task: tuple) -> tuple[int, int, list[int]]:
-    """(leaves, classes dropped at step k, low starts) of one slice of
-    roots, walked to level k: a width of 2**k fits every level."""
-    _, r, _, _, dropped, low = _walk(*task)
-    return r.size, dropped, low
+def _walk(task: tuple) -> tuple[int, int, list[int]]:
+    """(leaves, classes dropped at step k, low starts) of the classes
+    (r, v, k2) mod 2**j walked to level k in chunks that descend and are
+    cut in two, the second half copied so that its source can go."""
+    k, offset, width, lim, pow_m, *chunk = task
+    leaves, dropped, low, chunks = 0, 0, [], [chunk]
+    while chunks:
+        j, r, v, k2, c_dropped, c_low = _descend(k, offset, width, lim,
+                                                 pow_m, *chunks.pop())
+        dropped, low = dropped + c_dropped, low + c_low
+        if j == k:
+            leaves += r.size
+            continue
+        half = r.size // 2
+        chunks += [(j, r[half:].copy(), v[half:].copy(), k2[half:].copy()),
+                   (j, r[:half], v[:half], k2[:half])]
+    return leaves, dropped, low
 
 
 def _scan_window(p: MapParams, k: int, offset: int,
@@ -265,11 +270,11 @@ def _scan_window(p: MapParams, k: int, offset: int,
     """Validate and walk [offset, offset + 2**k): (gt, ge, agt,
     mismatches), the mismatches in increasing order.
 
-    The walk goes breadth first while a level fits _WIDTH, to a level j,
-    and then hands out slices of _WIDTH >> (k - j) roots (at least one):
-    a level of a slice then holds at most _WIDTH classes, since j >=
-    log2(_WIDTH) and k <= 2*log2(_WIDTH).  The low starts are decided
-    one by one: each one is a mismatch iff it never drops in value.
+    The walk goes breadth first while a level fits _WIDTH, to level j,
+    then in chunks of at most _WIDTH // 2 classes a level, which keeps
+    them and the halves pending (about one a level) small.  Workers start
+    only if r.size*(2**(k-j+1) - 2), the most class steps left, gives
+    each POOL_MIN_STEPS.  A low start is a mismatch iff it never drops.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -279,28 +284,23 @@ def _scan_window(p: MapParams, k: int, offset: int,
         raise ValueError("offset must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    lim = _coefficient_limits(p.m, k)
+    pow_m = np.array([pow(p.m, i, 1 << 64) for i in range(k + 1)], dtype=np.uint64)
     root = np.zeros(1, np.uint32), np.zeros(1, np.uint64), np.zeros(1, np.int8)
-    j, r, v, k2, dropped, low = _walk(p.m, k, offset, _WIDTH, 0, *root)
-    size = max(1, _WIDTH >> (k - j))
-    tasks = [(p.m, k, offset, 1 << k, j, r[i:i + size], v[i:i + size],
-              k2[i:i + size]) for i in range(0, r.size, size)]
-    # no more workers than slices or cores: a pool starts all of them
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    j, r, v, k2, dropped, low = _descend(k, offset, _WIDTH, lim, pow_m, 0, *root)
+    bound = r.size * ((2 << (k - j)) - 2)
+    workers = max(1, min(jobs, os.cpu_count() or 1, bound // POOL_MIN_STEPS))
+    parts = zip(*(np.array_split(a, 4 * workers) for a in (r, v, k2)))
+    tasks = [(k, offset, _WIDTH // 2, lim, pow_m, j, *part) for part in parts]
     if workers == 1:
-        results = map(_slice, tasks)
+        results = map(_walk, tasks)
     else:
-        # slices go in batches, four per worker: sent one by one, they
-        # cost more than a second worker saves
-        batch = -(-len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_slice, tasks, chunksize=batch))
-    gt = 0
-    for s_gt, s_dropped, s_low in results:
-        gt += s_gt
-        dropped += s_dropped
-        low += s_low
-    mismatches = [n for n in sorted(low) if not _first_drops(p.m, n, k)[1]]
-    return gt, gt + dropped, gt + len(mismatches), mismatches
+            results = list(pool.map(_walk, tasks))
+    leaves, drops, lows = zip((0, dropped, low), *results)
+    gt, low = sum(leaves), sorted(n for part in lows for n in part)
+    mismatches = [n for n in low if not _first_drops(p.m, n, k)[1]]
+    return gt, gt + sum(drops), gt + len(mismatches), mismatches
 
 
 def count_window(p: MapParams, k: int, offset: int = 1, *,

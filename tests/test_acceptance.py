@@ -14,6 +14,7 @@ import time
 
 from mxplus1 import (MapParams, T3, T5, count_window, equation_of_vector,
                      find_cycles, iterate, parity_vector, ratio_to_float)
+from mxplus1 import oracle
 from reference import binomial_reference, initial_column, next_column
 
 # --- frozen source tables -------------------------------------------------
@@ -194,7 +195,7 @@ def test_criterion_05_pascal_triangle():
           "with column sums 2**k")
 
 
-def test_criterion_06_oracle_equivalence():
+def test_criterion_06_oracle_equivalence(monkeypatch):
     t0 = time.perf_counter()
     single = count_window(T3, 20, 1, jobs=1)
     elapsed = time.perf_counter() - t0
@@ -205,6 +206,8 @@ def test_criterion_06_oracle_equivalence():
             rep = count_window(T3, k, offset)
             assert rep.matches_table, f"k={k} offset={offset}: " \
                 f"{rep.count_coefficient_gt} != {rep.table_N}"
+    # one class step a worker starts a real pool for this window
+    monkeypatch.setattr(oracle, "POOL_MIN_STEPS", 1)
     parallel = count_window(T3, 20, 1, jobs=8)
     assert parallel == single
     print(f"\nPASS: criterion 6 - brute-force counts equal table counts for "

@@ -95,8 +95,8 @@ def test_window_invariance_three_offsets():
 
 
 def test_partition_determinism(monkeypatch):
-    # From one root per slice (width 1) to the default width, the walk
-    # is sliced differently and reads the same window.
+    # From chunks of one class (width 1) to the default width, the walk
+    # is cut differently and reads the same window.
     base = count_window(T3, 10)
     for width in (1, 2, 4, 16, 64, 1 << 13):
         monkeypatch.setattr(oracle, "_WIDTH", width)
@@ -105,8 +105,11 @@ def test_partition_determinism(monkeypatch):
 
 
 def test_jobs_bit_identical(monkeypatch):
-    # a width of 64 cuts the m=3 window of 2**12 into 5 slices
+    # a width of 64 leaves 38 classes of the m=3 window of 2**12 after
+    # the breadth-first phase, and one class step a worker starts a real
+    # pool on any machine with more than one core
     monkeypatch.setattr(oracle, "_WIDTH", 64)
+    monkeypatch.setattr(oracle, "POOL_MIN_STEPS", 1)
     seq = count_window(T3, 12, jobs=1)
     par = count_window(T3, 12, jobs=4)
     assert seq == par
@@ -141,17 +144,28 @@ def test_worker_count_capped(monkeypatch, cpus):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "tasks", [])
     # a width of 64 walks the m=3 window of 2**12 breadth first to the 38
-    # classes of level 9, and hands them out in 5 slices of 8
+    # classes of level 9, which leave at most 38*(2**4 - 2) = 532 class
+    # steps: far too few for a worker at the default POOL_MIN_STEPS
     monkeypatch.setattr(oracle, "_WIDTH", 64)
     seq = count_window(T3, 12, jobs=1)
-    # 5 slices: the pool gets no more workers than slices or cores
+    assert count_window(T3, 12, jobs=5000) == seq
+    assert _RecordingPool.sizes == []
+    # at one step a worker, no more workers than jobs or cores; at 266,
+    # two at most, and at 267 one, so no pool
+    monkeypatch.setattr(oracle, "POOL_MIN_STEPS", 1)
     assert count_window(T3, 12, jobs=5000) == seq
     assert discrepancy_scan(T3, 12, jobs=3) == discrepancy_scan(T3, 12, jobs=1)
+    for steps in (266, 267):
+        monkeypatch.setattr(oracle, "POOL_MIN_STEPS", steps)
+        assert count_window(T3, 12, jobs=5000) == seq
     cores = cpus or 1
-    expected = [n for n in (min(5, cores), min(3, cores)) if n > 1]
+    expected = [n for n in (min(5000, cores), min(3, cores), min(2, cores)) if n > 1]
     assert _RecordingPool.sizes == expected
-    assert _RecordingPool.tasks == [5] * len(expected)
-    # a one-slice window never starts a pool
+    # each worker walks four parts of the 38 classes
+    assert _RecordingPool.tasks == [4 * n for n in expected]
+    # a window walked breadth first to level k leaves no steps, and
+    # starts no pool
+    monkeypatch.setattr(oracle, "POOL_MIN_STEPS", 1)
     monkeypatch.setattr(oracle, "_WIDTH", 1 << 13)
     assert count_window(T3, 12, jobs=5000) == seq
     assert _RecordingPool.sizes == expected
@@ -190,8 +204,8 @@ def test_fast_path_matches_exact_path(m, offset):
 @settings(max_examples=300, deadline=None)
 def test_fast_chunk_equals_exact_chunk(m, k, start, width, near):
     # Windows anywhere below 2**24, or ending at most 4 below the bound
-    # past which values no longer fit one int64, walked in slices of
-    # one root (width 1) up to the default width.
+    # past which values no longer fit one int64, walked in chunks of
+    # one class (width 1) up to the default width.
     if near:
         start = _first_stop_on_limbs(m, k, 2) - 1 - start % 4 - (1 << k)
     with mock.patch.object(oracle, "_WIDTH", width):
@@ -262,7 +276,7 @@ def test_small_starts_below_the_sieve_tops(m, k, offset, width):
 
 def test_sieve_bounds_the_stepped_starts():
     # The walk steps only the children of the classes with no
-    # coefficient drop yet: at level j, summed over its slices, 2*N(j-1)
+    # coefficient drop yet: at level j, summed over its chunks, 2*N(j-1)
     # of the 2**j classes, where N is the table's count (734 of the
     # 16384 classes mod 2**14 for m=3).
     with _spy_levels() as levels:
@@ -304,7 +318,7 @@ def test_walk_decides_the_starts_that_keep_their_value(m, k, offset, width):
 def test_window_sums_the_exact_scan(m, k, width, where, shift):
     # Windows from the low starts (1 to 16), anywhere,
     # and across the bound past which values no longer fit one int64,
-    # walked in slices of any width; their four results are
+    # walked in chunks of any width; their four results are
     # scan_exact's.
     if where == "low":
         offset = 1 + shift % 16
@@ -318,10 +332,11 @@ def test_window_sums_the_exact_scan(m, k, width, where, shift):
 
 
 def test_oracle_memory_is_bounded_by_the_width():
-    # No level of the walk, breadth first or in a slice, holds more than
+    # No level of the walk, breadth first or in a chunk, holds more than
     # _WIDTH classes, so the numpy buffers stay small: the tracemalloc
     # peaks of the start-by-start limb scan this walk replaced were
-    # 624 464 and 624 468 bytes.  Both windows are walked in slices.
+    # 624 464 and 624 468 bytes.  In both windows more than one chunk
+    # reaches level k.
     runs = ((lambda: count_window(T5, 18, 2**60 + 1), 18),
             (lambda: discrepancy_scan(T3, 20), 20))
     for run, k in runs:
@@ -336,6 +351,25 @@ def test_oracle_memory_is_bounded_by_the_width():
             run()
         assert max(r.size for _, r, _, _ in levels) <= oracle._WIDTH
         assert sum(j == k for j, _, _, _ in levels) > 1
+
+
+def test_chunks_step_most_classes_in_wide_levels():
+    # A chunk is cut in two only when its next level would pass
+    # _WIDTH // 2 classes, so each half steps more than _WIDTH // 4: only
+    # the first levels of the breadth-first phase, and chunks pruned
+    # thin, step fewer, at most k of them here.  Every other level step
+    # takes at least _WIDTH // 4 of the 2*N(j-1) class steps of level j,
+    # S = 7 280 432 in all for m=5 at k=24, which bounds its level steps
+    # by k + 4*S/_WIDTH = 3 578 (the worst-case slices this walk replaced
+    # took 4 326).
+    k = 24
+    with _spy_levels() as levels:
+        count_window(T5, k)
+    series = density_series(T5, k, 1)
+    steps = sum(2 * series.points[j - 1].N for j in range(1, k + 1))
+    assert sum(r.size for _, r, _, _ in levels) == steps
+    assert sum(r.size < oracle._WIDTH // 4 for _, r, _, _ in levels) <= k
+    assert len(levels) <= k + 4 * steps // oracle._WIDTH
 
 
 def test_one_limb_while_the_step_bound_fits():
@@ -366,7 +400,7 @@ def test_coefficient_limits_against_cmp_pow(m):
 def test_window_across_int64_bound(m, k):
     # A window across the bound past which values no longer fit one
     # int64 reads the start-by-start scan's four results and the near
-    # window's counts, walked in slices of one root, of a few and of the
+    # window's counts, walked in chunks of one class, of a few and of the
     # default width.
     offset = _first_stop_on_limbs(m, k, 2) - (1 << (k - 1))
     p = MapParams(m)
