@@ -24,18 +24,22 @@ Only the current diagonal is kept in memory, so the recursion streams
 to large k.  Every entry is an exact integer; floats appear only in
 the emitted distribution values F = N / 2**k.
 
-With two cores a big band is cut at a row: a second process steps the
-lower stripe along the same diagonals and feeds the upper stripe,
-stepped here, its top row and its shaded counts.  Both stripes have
-cells on diagonal 0, so both work from the first column.
+With two or more usable cores a big band is cut into a chain of row
+stripes, one process each, at equal shares of its cost.  Every stripe
+steps its rows along the same diagonals, fed the top row of the stripe
+below, and sends its shaded counts straight to the calling process,
+which steps no row: it reads the stripes' counts in stripe order, which
+is k order, and writes the points.  Every stripe has cells on diagonal
+0, so all work from the first column.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterator
 
 from .bigmath import _coefficient_limits, ratio_to_float
@@ -77,26 +81,40 @@ def _point(k: int, n: int, shaded: int) -> DensityPoint:
                         F_terras=ratio_to_float(n + shaded, k), G=1.0 - f_new)
 
 
-# A band is split when its cost (see _split_row) reaches this many bits
-# of addition: on a 2-core Xeon VM the stripe process took 35-50 ms to
-# start and stop, multiprocessing's import included, and such a band
-# 0.5-0.7 s.
+# A band is split when its cost (see _cuts) reaches this many bits of
+# addition, and no stripe gets less than half of it: on a 2-core Xeon VM a
+# chain of three stripe processes took 10-20 ms more than one process to
+# start and stop, multiprocessing's import 10 ms, and such a band 0.5-0.7 s.
 SPLIT_MIN_COST = 5 * 10**9
-_BATCH = 64  # diagonals per message from the stripe process
+# Diagonals per message from a stripe process: 16 to 256 took the same time
+# within noise (the three table runs of perfbench, 2-core Xeon VM).
+_BATCH = 64
 
 
-def _split_row(lim: list[int], top: int) -> int:
-    """The first row of the upper stripe, where the band's cost (about j
-    bits of addition per candidate of column j) is halved: near 0.79 *
-    top for m = 3 and 5.  0, no lower stripe, on one core or a small band."""
+def _usable_cores() -> int | None:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else os.cpu_count(), which is None if unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count()
+
+
+def _cuts(lim: list[int], top: int) -> list[int]:
+    """The first rows of the stripes above the lowest, at equal shares of
+    the band's cost (about j bits of addition per candidate of column j):
+    one stripe more than usable cores, fewer where one would cost under
+    SPLIT_MIN_COST // 2, and none on one core or for a small band."""
     cost = [0] * (top + 2)  # per row, as differences
     for j in range(1, len(lim)):
         cost[lim[j - 1]] += j  # column j computes rows lim[j-1]..min(j, top)
         cost[min(j, top) + 1] -= j
     cum = list(accumulate(accumulate(cost)))
-    if (os.cpu_count() or 1) < 2 or cum[top] < SPLIT_MIN_COST:
-        return 0
-    return max(bisect_left(cum, cum[top] / 2), 1)
+    cores = _usable_cores() or 1
+    if cores < 2 or cum[top] < SPLIT_MIN_COST:
+        return []
+    stripes = min(cores + 1, cum[top] // (SPLIT_MIN_COST // 2))
+    return [bisect_left(cum, cum[top] * s / stripes) for s in range(1, stripes)]
 
 
 def _diagonals(lim: list[int], lo: int, hi: int, fed: Iterator[tuple]) -> Iterator[tuple]:
@@ -126,26 +144,76 @@ def _diagonals(lim: list[int], lo: int, hi: int, fed: Iterator[tuple]) -> Iterat
         yield (diag[-1] if diag else 0), shaded
 
 
-def _lower_stripe(conn, parent_end, lim: list[int], split: int) -> None:
-    """The stripe process: step rows 0..split - 1 until all are shaded,
-    and send the steps of _diagonals, in batches ending with None."""
-    parent_end.close()  # else a parent that dies leaves send blocked
-    batch = []
-    for step in _diagonals(lim, 0, split, repeat((0, ()))):
-        batch.append(step)
-        if len(batch) == _BATCH:
-            conn.send(batch)
-            batch = []
-    conn.send(batch)
-    conn.send(None)
+def _stripe(lim: list[int], lo: int, hi: int, below, above, out, shut) -> None:
+    """A stripe process: step rows lo..hi - 1 until all are shaded, fed
+    row lo - 1 by the stripe below, if any, and send per _BATCH diagonals
+    row hi - 1 on each to the stripe above, if any, and the shaded pairs
+    to the caller; each stream ends with None."""
+    for conn in shut:
+        conn.close()  # else a reader that dies leaves send blocked
+    received = chain.from_iterable(iter(below.recv, None)) if below else ()
+    # row lo - 1 on each diagonal, 0 once the stripe below is shaded
+    steps = _diagonals(lim, lo, hi, zip(chain(received, repeat(0)), repeat(())))
+    try:
+        for batch in iter(lambda: list(islice(steps, _BATCH)), []):
+            if above:
+                above.send([value for value, _ in batch])
+            pairs = [pair for _, shaded in batch for pair in shaded]
+            if pairs:
+                out.send(pairs)
+        if above:
+            above.send(None)
+        out.send(None)
+        # this stripe can end on the diagonal the one below ends on, before
+        # its None: read to it, so that it is not sent into a closed pipe
+        for _ in received:
+            pass
+    except (EOFError, BrokenPipeError):
+        # a neighbour is gone, stopped with the chain or dead: the caller
+        # reports it, so exit without a traceback on its stderr
+        sys.exit(1)
+
+
+def _start_chain(lim: list[int], bounds: list[int], stripes: list[tuple]) -> None:
+    """Fork one stripe process per pair of consecutive bounds, each fed by
+    the one below, and append (process, its stream of shaded pairs) to
+    stripes as it starts, so that a failed start leaves none unlisted."""
+    # The platform's default start method, as the oracle's pool: fork on
+    # Linux, which starts in milliseconds.  spawn also re-imports the main
+    # module, which for perfbench's op.py means numpy: 1.6-2.1 s more CPU
+    # per table pass on a 2-core Xeon VM.
+    import multiprocessing  # only here: its import costs 38 ms
+    below = None
+    for lo, hi in zip(bounds, bounds[1:]):
+        up, above = multiprocessing.Pipe(duplex=False) if hi < bounds[-1] else (None, None)
+        stream, out = multiprocessing.Pipe(duplex=False)
+        shut = [conn for _, conn in stripes] + [conn for conn in (stream, up) if conn]
+        proc = multiprocessing.Process(target=_stripe, daemon=True,
+                                       args=(lim, lo, hi, below, above, out, shut))
+        proc.start()
+        for conn in (below, above, out):
+            if conn:
+                conn.close()
+        stripes.append((proc, stream))
+        below = up
+
+
+def _received(proc, stream) -> Iterator[list]:
+    """The batches of shaded pairs a stripe process sends, until its None."""
+    try:
+        yield from iter(stream.recv, None)
+    except (EOFError, OSError) as exc:
+        proc.join()
+        raise RuntimeError(f"the stripe process exited with code {proc.exitcode}") from exc
 
 
 def _points(p: MapParams, k_max: int, stride: int = 1) -> Iterator[DensityPoint]:
     """The points of density_series(p, k_max, stride), one at a time:
     the diagonals are stepped when the next point is asked for, so a
-    caller that writes points as they come holds one diagonal.  The
+    caller that writes points as they come holds at most one diagonal,
+    and none when the band runs as a chain of stripe processes.  The
     arguments are checked on the call, before the first point; the
-    stripe process, if any, starts with the first point and stops when
+    stripe processes, if any, start with the first point and stop when
     the generator is exhausted or closed."""
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
@@ -157,29 +225,20 @@ def _points(p: MapParams, k_max: int, stride: int = 1) -> Iterator[DensityPoint]
     # the last row a column k <= k_max can shade: the largest i with
     # m**i < 2**k_max, or 0 when there is none (k_max = 0)
     top = max(lim[k_max] - 1, 0)
-    split = _split_row(lim, top)
+    cuts = _cuts(lim, top)
 
     def walk() -> Iterator[DensityPoint]:
-        fed = repeat((0, ()))  # per diagonal: row split - 1, the lower stripe's shaded pairs
-        proc = None
-        if split:
-            # The platform's default start method, as the oracle's pool:
-            # fork on Linux, which starts in milliseconds.  spawn also
-            # re-imports the main module, which for perfbench's op.py
-            # means numpy: 1.6-2.1 s more CPU per table pass on a 2-core
-            # Xeon VM.
-            import multiprocessing  # only here: its import costs 38 ms
-            conn, child = multiprocessing.Pipe()
-            proc = multiprocessing.Process(target=_lower_stripe, daemon=True,
-                                           args=(child, conn, lim, split))
-            proc.start()
-            child.close()
-            fed = chain(chain.from_iterable(iter(conn.recv, None)), fed)
+        stripes = []
 
         def shadings() -> Iterator[int]:  # the shaded count of k = 1, 2, ...
+            if cuts:
+                batches = chain.from_iterable(_received(*stripe) for stripe in stripes)
+            else:
+                steps = _diagonals(lim, 0, lim[k_max], repeat((0, ())))
+                batches = (shaded for _, shaded in steps)
             k = 0
-            for _, shaded in _diagonals(lim, split, lim[k_max], fed):
-                for k_i, count in shaded:
+            for batch in batches:
+                for k_i, count in batch:
                     yield from repeat(0, k_i - k - 1)
                     yield count
                     k = k_i
@@ -187,19 +246,18 @@ def _points(p: MapParams, k_max: int, stride: int = 1) -> Iterator[DensityPoint]
 
         n = 1
         try:
+            if cuts:
+                _start_chain(lim, [0, *cuts, lim[k_max]], stripes)
             yield _point(0, n, 0)
             for k, shaded in zip(range(1, k_max + 1), shadings()):
                 n = 2 * n - shaded
                 if k % stride == 0 or k == k_max:
                     yield _point(k, n, shaded)
-        except (EOFError, OSError) as exc:
-            proc.join()
-            raise RuntimeError("the stripe process exited with code "
-                               f"{proc.exitcode}") from exc
         finally:
-            if proc:
+            for proc, stream in stripes:
                 proc.terminate()
                 proc.join()
+                stream.close()
 
     return walk()
 

@@ -32,14 +32,13 @@ fact the walk rests on, checked on the integers themselves.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bigmath import _coefficient_limits
-from .density import density_series
+from .density import _usable_cores, density_series
 from .trajectory import MapParams, _first_drops
 
 MAX_ORACLE_K = 26
@@ -289,7 +288,7 @@ def _scan_window(p: MapParams, k: int, offset: int,
     root = np.zeros(1, np.uint32), np.zeros(1, np.uint64), np.zeros(1, np.int8)
     j, r, v, k2, dropped, low = _descend(k, offset, _WIDTH, lim, pow_m, 0, *root)
     bound = r.size * ((2 << (k - j)) - 2)
-    workers = max(1, min(jobs, os.cpu_count() or 1, bound // POOL_MIN_STEPS))
+    workers = max(1, min(jobs, _usable_cores() or 1, bound // POOL_MIN_STEPS))
     parts = zip(*(np.array_split(a, 4 * workers) for a in (r, v, k2)))
     tasks = [(k, offset, _WIDTH // 2, lim, pow_m, j, *part) for part in parts]
     if workers == 1:

@@ -94,26 +94,28 @@ Record = Union[DensityPoint, Cycle, "OracleReport"]
 
 
 def _json_lines(records: Iterable[Record], m: int | None, variant: str) -> Iterator[str]:
-    digits = None
+    digits = tail = None
     for rec in records:
         if isinstance(rec, DensityPoint):
             if m is None:
                 raise ValueError("m is required to serialize density points")
             digits = digits or _count_digits()
-            # json.dumps writes only what follows head, never the long digit strings
-            head = '{{"k":{},"N":"{}","pow2k":"{}","shaded":"{}",'.format(rec.k, *digits(rec))
-            obj = {"F_new": rec.F_new, "F_terras": rec.F_terras, "G": rec.G,
-                   "m": m, "variant": variant}
-        elif isinstance(rec, Cycle):
+            # what json.dumps writes: float.__repr__ for a finite float (F is
+            # in [0, 1]), and m and variant are the same on every line
+            tail = tail or ',"m":{},"variant":{}}}\n'.format(json.dumps(m), json.dumps(variant))
+            yield ('{{"k":{},"N":"{}","pow2k":"{}","shaded":"{}","F_new":{!r},'
+                   '"F_terras":{!r},"G":{!r}').format(rec.k, *digits(rec), rec.F_new,
+                                                       rec.F_terras, rec.G) + tail
+            continue
+        if isinstance(rec, Cycle):
             if m is None:
                 raise ValueError("m is required to serialize cycles")
-            head, obj = "{", {"m": m, "length": rec.length,
-                              "values": [str(v) for v in rec.values]}
+            obj = {"m": m, "length": rec.length, "values": [str(v) for v in rec.values]}
         else:
             from .oracle import OracleReport  # only here: it loads numpy
             if not isinstance(rec, OracleReport):
                 raise TypeError(f"cannot serialize {type(rec).__name__}")
-            head, obj = "{", {
+            obj = {
                 "m": rec.m,
                 "k": rec.k,
                 "offset": rec.offset,
@@ -123,7 +125,7 @@ def _json_lines(records: Iterable[Record], m: int | None, variant: str) -> Itera
                 "count_actual_gt": str(rec.count_actual_gt),
                 "discrepancy": rec.discrepancy,
             }
-        yield head + json.dumps(obj, separators=(",", ":"))[1:] + "\n"
+        yield json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 def to_json(records: Union[DensitySeries, Iterable[Record]], *, m: int | None = None,

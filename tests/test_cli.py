@@ -307,8 +307,9 @@ def _run_script(script: str) -> subprocess.Popen:
                             stderr=subprocess.PIPE, env=env)
 
 
-# Makes every density run of a script split its band, however small.
-FORCE_SPLIT = "mxplus1.density._split_row = lambda lim, top: max(top // 2, 1)\n"
+# Makes every density run of a script cut its band into three stripes,
+# however small.
+FORCE_SPLIT = "mxplus1.density._cuts = lambda lim, top: [top // 3, 2 * top // 3]\n"
 
 
 def test_density_and_cycles_do_not_import_numpy():

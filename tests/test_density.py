@@ -244,15 +244,17 @@ def _band(m, k_max):
        stride=st.integers(1, 9), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_split_series_equals_unsplit(m, k_max, stride, data):
-    # Cut at any row, the lower stripe in a second process, feeding its
-    # top row to the upper one here, gives the unsplit points, and both
-    # give the uncapped column chain's totals and shaded counts.  No band
-    # this small splits by itself.
+    # Cut at any one to four rows, a chain of stripe processes, each fed
+    # the top row of the one below and sending its shaded counts here,
+    # gives the unsplit points, and both give the uncapped column chain's
+    # totals and shaded counts.  No band this small splits by itself.
     p = MapParams(m)
-    split = data.draw(st.integers(1, _band(m, k_max)[1]), label="split")
+    top = _band(m, k_max)[1]
+    cuts = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=4,
+                              unique=True).map(sorted), label="cuts")
     want = density_series(p, k_max, stride).points
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(density, "_split_row", lambda lim, top: split)
+        mp.setattr(density, "_cuts", lambda lim, top: cuts)
         assert density_series(p, k_max, stride).points == want
     assert multiprocessing.active_children() == []
     assert [(pt.k, pt.N, pt.shaded_count) for pt in want] == \
@@ -261,27 +263,29 @@ def test_split_series_equals_unsplit(m, k_max, stride, data):
 
 
 def _force_split(monkeypatch):
-    monkeypatch.setattr(density, "_split_row", lambda lim, top: top // 2)
+    """Cuts every band into three stripes: at m=3, k_max=400 rows 0-83,
+    84-167 and 168-252."""
+    monkeypatch.setattr(density, "_cuts", lambda lim, top: [top // 3, 2 * top // 3])
 
 
 def test_closing_the_points_stops_the_stripe_process(monkeypatch):
-    # The k_max=400 stripe can send all it has and exit before it is
-    # counted; held after its last send, it lives until it is stopped.
-    stripe = density._lower_stripe
-    monkeypatch.setattr(density, "_lower_stripe", lambda *args:
+    # The k_max=400 stripes can send all they have and exit before they
+    # are counted; held after their last send, they live until stopped.
+    stripe = density._stripe
+    monkeypatch.setattr(density, "_stripe", lambda *args:
                         (stripe(*args), time.sleep(600)))
     _force_split(monkeypatch)
     points = _points(T3, 400)
     assert multiprocessing.active_children() == []
     assert next(points).k == 0
-    assert len(multiprocessing.active_children()) == 1
+    assert len(multiprocessing.active_children()) == 3
     points.close()
     assert multiprocessing.active_children() == []
 
 
 def test_dead_stripe_process_raises_before_a_wrong_point(monkeypatch):
     want = density_series(T3, 400).points
-    stripe = density._lower_stripe
+    stripe = density._stripe
 
     class DiesAfterFirstBatch:
         def __init__(self, conn):
@@ -291,40 +295,103 @@ def test_dead_stripe_process_raises_before_a_wrong_point(monkeypatch):
             self.conn.send(batch)
             os._exit(3)
 
-    monkeypatch.setattr(density, "_lower_stripe", lambda conn, *args:
-                        stripe(DiesAfterFirstBatch(conn), *args))
+    # the middle stripe dies after its first batch of shaded counts; the
+    # one above it, fed by it, then fails on its own
+    monkeypatch.setattr(density, "_stripe", lambda lim, lo, hi, below, above, out, shut:
+                        stripe(lim, lo, hi, below, above,
+                               DiesAfterFirstBatch(out) if lo == 84 else out, shut))
     _force_split(monkeypatch)
     got = []
     with pytest.raises(RuntimeError, match="stripe process exited with code 3"):
         got.extend(_points(T3, 400))
     # Row i is shaded at k = bits(3**i), on diagonal k - i.  The points
     # come out right up to the last k the one batch sent shades, and end
-    # before the first k whose shaded count needs a lost diagonal.
-    shaded_at = {i: (3**i).bit_length() for i in range(_band(3, 400)[1] // 2)}
-    last_sent = max(k for i, k in shaded_at.items() if k - i <= density._BATCH)
-    first_lost = min(k for i, k in shaded_at.items() if k - i > density._BATCH)
+    # before the first k whose shaded count needs a lost batch.
+    shaded_at = {i: (3**i).bit_length() for i in range(84, 168)}
+    batch = {i: (k - i - 1) // density._BATCH for i, k in shaded_at.items()}
+    first = min(batch.values())
+    last_sent = max(k for i, k in shaded_at.items() if batch[i] == first)
+    first_lost = min(k for i, k in shaded_at.items() if batch[i] > first)
     assert last_sent <= got[-1].k < first_lost
     assert got == want[:len(got)]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_stripe_that_ends_with_the_one_below_reads_to_its_end(monkeypatch):
+    # Rows 2 and 3 of m=3 both die on diagonal 2, so the stripe of row 3
+    # ends on the diagonal the stripe of rows 0-2 ends on, before that one
+    # sends its None.  Held back, the None still goes into an open pipe.
+    want = density_series(T3, 20).points
+    stripe = density._stripe
+
+    class SlowEnd:
+        def __init__(self, conn):
+            self.conn = conn
+
+        def send(self, batch):
+            if batch is None:
+                time.sleep(0.2)
+            self.conn.send(batch)
+
+    monkeypatch.setattr(density, "_stripe", lambda lim, lo, hi, below, above, out, shut:
+                        stripe(lim, lo, hi, below, SlowEnd(above) if lo == 0 else above,
+                               out, shut))
+    monkeypatch.setattr(density, "_cuts", lambda lim, top: [3, 4])
+    assert [(3**i).bit_length() - i for i in (2, 3)] == [2, 2]
+    assert density_series(T3, 20).points == want
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cpus,m,k_max", [(1, 3, 6000), (None, 5, 6000), (64, 3, 3000),
                                           (64, 3, MAX_ORACLE_K)])
 def test_no_stripe_process_on_one_core_or_a_small_band(monkeypatch, cpus, m, k_max):
-    monkeypatch.setattr(density.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(density, "_usable_cores", lambda: cpus)
     lim, top = _band(m, k_max)
-    assert density._split_row(lim, top) == 0
+    assert density._cuts(lim, top) == []
     points = _points(MapParams(m), k_max)
     next(points)
     assert multiprocessing.active_children() == []
     points.close()
 
 
+def test_usable_cores_follow_the_affinity(monkeypatch):
+    # Pinned to one core, a big band starts no stripe process, whatever
+    # os.cpu_count() says; where the affinity call does not exist, the
+    # core count is used.
+    lim, top = _band(3, 6000)
+    cpus = os.sched_getaffinity(0)
+    assert density._usable_cores() == len(cpus)
+    try:
+        os.sched_setaffinity(0, {min(cpus)})
+        assert density._usable_cores() == 1 and density._cuts(lim, top) == []
+    finally:
+        os.sched_setaffinity(0, cpus)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count in (None, 1, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert density._usable_cores() == count
+
+
+def _stripe_costs(lim, bounds):
+    """Each stripe's share of the band's cost, column by column: column j
+    adds j bits for each of its rows lim[j-1]..min(j, top) in the stripe."""
+    top = bounds[-1] - 1
+    costs = [sum(j * max(0, min(j, top, hi - 1) - max(lim[j - 1], lo) + 1)
+                 for j in range(1, len(lim))) for lo, hi in zip(bounds, bounds[1:])]
+    return [cost / sum(costs) for cost in costs], min(costs)
+
+
 @pytest.mark.parametrize("m", [3, 5])
-def test_big_band_splits_where_its_cost_halves(monkeypatch, m):
-    monkeypatch.setattr(density.os, "cpu_count", lambda: 2)
+@pytest.mark.parametrize("cpus,stripes", [(2, 3), (3, 4), (64, 5)])
+def test_big_band_cuts_at_equal_cost_shares(monkeypatch, m, cpus, stripes):
+    # One stripe more than cores, as many as each costs at least half of
+    # SPLIT_MIN_COST: five at most for these bands of 1.3e10 bits.
+    monkeypatch.setattr(density, "_usable_cores", lambda: cpus)
     lim, top = _band(m, 6000)
-    assert 0.78 < density._split_row(lim, top) / top < 0.80
+    cuts = density._cuts(lim, top)
+    shares, least = _stripe_costs(lim, [0, *cuts, top + 1])
+    assert len(shares) == stripes and least >= density.SPLIT_MIN_COST // 2
+    assert all(abs(share - 1 / stripes) < 0.002 for share in shares)
 
 
 def test_binomial_reference_golden():

@@ -140,7 +140,7 @@ class _RecordingPool:
 @pytest.mark.parametrize("cpus", [1, 2, 64, None])
 def test_worker_count_capped(monkeypatch, cpus):
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(oracle, "_usable_cores", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "tasks", [])
     # a width of 64 walks the m=3 window of 2**12 breadth first to the 38
