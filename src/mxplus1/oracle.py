@@ -24,10 +24,10 @@ steps: only parities are read, and a class that drops never wraps (see
 _descend).  It goes in chunks, halved as they grow, that are summed: the
 result is bit-identical for any cut or worker count (see _scan_window).
 
-The periodicity check steps each start on its own, on exact int64
-limbs: parity vectors of length k repeat with period 2**k, and the
-2**k vectors of one window are all distinct (Terras 1976).  This is the
-fact the walk rests on, checked on the integers themselves.
+The periodicity check steps each start on its own, on wrapping uint64
+like the walk: parity vectors of length k repeat with period 2**k, and
+the 2**k vectors of one window are all distinct (Terras 1976).  This is
+the fact the walk rests on, checked on the integers themselves.
 """
 
 from __future__ import annotations
@@ -78,93 +78,31 @@ class OracleReport:
         return self.count_coefficient_gt == self.table_N
 
 
-def _step_bound(m: int, k: int, stop: int) -> int:
-    """Bound above every m*v + 1 computed within k steps of a start
-    below stop: every value v is under (stop+1) * (m/2)**k."""
-    return m * (((stop + 1) * m**k >> k) + 1) + 1
-
-
-def _limb_width(m: int) -> int:
-    # A limb of 62 - bits(m) bits keeps m*limb + carry below 2**63.  Past
-    # 31-bit multipliers, m is itself split into 31-bit limbs.
-    return 62 - min(m.bit_length(), 31)
-
-
-def _limb_count(m: int, k: int, stop: int, width: int) -> int:
-    """Limbs enough for every m*v + 1 within k steps of a start below
-    stop: one (the top limb is never masked) while they stay below
-    2**62, otherwise width-bit limbs.  A multiplier of more than 31 bits
-    never gets one limb, since the bound exceeds m**2."""
-    bound = _step_bound(m, k, stop)
-    if bound < 1 << 62:
-        return 1
-    return -(-(bound - 1).bit_length() // width)
-
-
-def _range_limbs(start: int, offsets: np.ndarray, count: int,
-                 width: int) -> list[np.ndarray]:
-    """start + offsets (an int64 array) as `count` int64 limbs of
-    `width` bits each, least significant first; the top limb holds all
-    the remaining high bits."""
-    mask = (1 << width) - 1
-    limbs = []
-    carry = offsets
-    for i in range(count - 1):
-        limb = carry + ((start >> (width * i)) & mask)
-        carry = limb >> width
-        limbs.append(limb & mask)
-    limbs.append(carry + (start >> (width * (count - 1))))
-    return limbs
-
-
-def _step_limbs(v: list[np.ndarray], odd: np.ndarray, m_limbs: list[int],
-                width: int) -> None:
-    """One step of the map on limbs, in place: (m*v + 1) >> 1 where odd
-    is 1 and v >> 1 where it is 0.
-
-    Both cases are v + odd*((m-1)*v + 1): one multiply-add with carry
-    from the lowest limb up, then a one-bit shift across the limbs.  The
-    caller's limb count keeps m*v + 1 inside the limbs, so the top limb
-    never carries out and is never masked.
-    """
-    mask = (1 << width) - 1
-    top = len(v) - 1
-    # with m in one limb, limb s of the product reads only limb s of v
-    src = v if len(m_limbs) == 1 else [limb.copy() for limb in v]
-    term = np.empty_like(odd)
-    carry = odd
-    for s in range(top + 1):
-        for j, mu in enumerate(m_limbs[:s + 1]):
-            np.multiply(src[s - j], mu - 1 if j == 0 else mu, out=term)
-            term *= odd
-            if j == 0:
-                term += carry
-            v[s] += term
-            if s < top:
-                high = v[s] >> width
-                v[s] &= mask
-                carry = high if j == 0 else carry + high
-    for s in range(top):
-        np.bitwise_and(v[s + 1], 1, out=term)
-        term <<= width - 1
-        v[s] >>= 1
-        v[s] |= term
-    v[top] >>= 1
-
-
 def _parity_codes(m: int, k: int, start: int, size: int) -> np.ndarray:
     """trajectory._parity_code of start, start+1, ..., start+size-1 as
-    an int64 array: bit j is the parity of the j-th value."""
-    width = _limb_width(m)
-    m_limbs = [(m >> i) & ((1 << width) - 1) for i in range(0, m.bit_length(), width)]
-    v = _range_limbs(start, np.arange(size, dtype=np.int64),
-                     _limb_count(m, k, start + size, width), width)
-    code = np.zeros(size, dtype=np.int64)
+    a uint32 array: bit j is the parity of the j-th value.
+
+    Each step is v + odd*((m-1)*v + 1), an even sum, then a one-bit
+    shift, on wrapping uint64: the sum is exact in the bits v is, and
+    the shift loses the top one, so after j steps the low 64 - j bits of
+    v are exact.  For k <= MAX_PERIODICITY_K every parity read is thus
+    the integer's own, for any odd m and any start.  The codes and the
+    parities are uint32, half the memory of uint64.
+    """
+    v = np.arange(size, dtype=np.uint64)
+    v += start % (1 << 64)
+    code = np.zeros(size, dtype=np.uint32)
+    odd, term = np.empty_like(code), np.empty_like(v)
     for j in range(k):
-        odd = v[0] & 1
-        code |= odd << j
+        np.bitwise_and(v, 1, out=odd, casting="unsafe")
         if j + 1 < k:
-            _step_limbs(v, odd, m_limbs, width)
+            np.multiply(v, (m - 1) % (1 << 64), out=term)
+            term += 1
+            term *= odd
+            v += term
+            v >>= 1
+        odd <<= j
+        code |= odd
     return code
 
 

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from mxplus1 import (T3, T5, MapParams, count_window, density_series,
                      discrepancy_scan, iterate, periodicity_window)
 from mxplus1 import oracle
-from mxplus1.oracle import (MAX_ORACLE_K, _coefficient_limits, _limb_count,
-                            _limb_width, _parity_codes, _step_bound)
+from mxplus1.oracle import MAX_ORACLE_K, _coefficient_limits, _parity_codes
 from mxplus1.trajectory import _first_drops, _parity_code
 from reference import LESS, cmp_pow, scan_exact
 
@@ -171,14 +170,19 @@ def test_worker_count_capped(monkeypatch, cpus):
     assert _RecordingPool.sizes == expected
 
 
-def _first_stop_on_limbs(m: int, k: int, count: int) -> int:
-    """Least stop whose starts the limb stepper holds on at least
-    `count` limbs: past it, values no longer fit one int64."""
-    width = _limb_width(m)
-    lo, hi = 0, 1 << (width * count + 1)
+def _step_bound(m: int, k: int, stop: int) -> int:
+    """Bound above every m*v + 1 computed within k steps of a start
+    below stop: every value v is under (stop+1) * (m/2)**k."""
+    return m * (((stop + 1) * m**k >> k) + 1) + 1
+
+
+def _first_stop_past_int64(m: int, k: int) -> int:
+    """Least stop whose starts' step bound reaches 2**62: past it,
+    values no longer fit one int64."""
+    lo, hi = 0, 1 << 62
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _limb_count(m, k, mid, width) >= count else (mid, hi)
+        lo, hi = (lo, mid) if _step_bound(m, k, mid) >= 1 << 62 else (mid, hi)
     return hi
 
 
@@ -190,7 +194,7 @@ def test_fast_path_matches_exact_path(m, offset):
     # walk's wrapping values read as the start-by-start scan on both
     # sides of it.
     for k in range(1, 11):
-        bound = _first_stop_on_limbs(m, k, 2)
+        bound = _first_stop_past_int64(m, k)
         for stop in (offset + (1 << k), bound - offset, bound + offset):
             start = stop - (1 << k)
             assert _window(m, k, start) == scan_exact(m, k, start, stop)
@@ -207,7 +211,7 @@ def test_fast_chunk_equals_exact_chunk(m, k, start, width, near):
     # past which values no longer fit one int64, walked in chunks of
     # one class (width 1) up to the default width.
     if near:
-        start = _first_stop_on_limbs(m, k, 2) - 1 - start % 4 - (1 << k)
+        start = _first_stop_past_int64(m, k) - 1 - start % 4 - (1 << k)
     with mock.patch.object(oracle, "_WIDTH", width):
         assert _window(m, k, start) == scan_exact(m, k, start, start + (1 << k))
 
@@ -325,7 +329,7 @@ def test_window_sums_the_exact_scan(m, k, width, where, shift):
     elif where == "far":
         offset = 1 + shift
     else:
-        offset = max(1, _first_stop_on_limbs(m, k, 2) - 1 - shift % (1 << k))
+        offset = max(1, _first_stop_past_int64(m, k) - 1 - shift % (1 << k))
     with mock.patch.object(oracle, "_WIDTH", width):
         got = oracle._scan_window(MapParams(m), k, offset, 1)
     assert got == scan_exact(m, k, offset, offset + (1 << k))
@@ -374,12 +378,11 @@ def test_chunks_step_most_classes_in_wide_levels():
 
 def test_one_limb_while_the_step_bound_fits():
     # 7**23 exceeds 2**62, but the values of starts up to 2**16 stay
-    # below 2**61, so the limb stepper holds them on one limb.  The walk
+    # below 2**61, so they fit one int64 within 23 steps.  The walk
     # wraps the values of m=7 past 2**64 from k=23 on, and reads only
     # their parities: its window of 2**16 from 2**16 - 255 is the
     # start-by-start scan's, and at k=23 it reads the limb scan's tallies.
     assert _step_bound(7, 23, 2**16 + 1) < 2**61
-    assert _limb_count(7, 23, 2**16 + 1, _limb_width(7)) == 1
     start = 2**16 - 255
     assert _window(7, 16, start) == scan_exact(7, 16, start, start + 2**16)
     rep = count_window(MapParams(7), 23, start)
@@ -402,7 +405,7 @@ def test_window_across_int64_bound(m, k):
     # int64 reads the start-by-start scan's four results and the near
     # window's counts, walked in chunks of one class, of a few and of the
     # default width.
-    offset = _first_stop_on_limbs(m, k, 2) - (1 << (k - 1))
+    offset = _first_stop_past_int64(m, k) - (1 << (k - 1))
     p = MapParams(m)
     near = count_window(p, k, 1)
     gt, ge, agt, mism = scan_exact(m, k, offset, offset + (1 << k))
@@ -425,16 +428,18 @@ def test_limb_chunk_equals_exact_chunk(m, k, shift):
     # Every window ends past the bound where values no longer fit one
     # int64, from just past it to 2**100 beyond; the values of 2**40+1
     # and 2**70+1 wrap past 2**64 from their second odd step on.
-    start = max(1, _first_stop_on_limbs(m, k, 2) - (1 << k)) + shift
+    start = max(1, _first_stop_past_int64(m, k) - (1 << k)) + shift
     assert not hasattr(oracle, "_scan_exact")  # the reference lives in the tests
     assert _window(m, k, start) == scan_exact(m, k, start, start + (1 << k))
 
 
-@pytest.mark.parametrize("m", [2**31 - 1, 2**40 + 1, 2**61 - 1, 3**40, 2**70 + 1])
+@pytest.mark.parametrize("m", [2**31 - 1, 2**40 + 1, 2**61 - 1, 3**40, 2**70 + 1,
+                               2**64 + 1, 2**64 + 3])
 def test_limb_chunk_wide_multipliers(m):
-    # 3**40 and 2**61-1 fill their 31-bit limbs of m, so every product
-    # term of the limb stepper carries; random 100-bit starts fill every
-    # limb of v.  The walk's windows there are the start-by-start scan's.
+    # Multipliers past 31 bits, 2**64 + 1 (m - 1 wraps to 0) and 2**64 + 3
+    # (to 2) among them, at random 100-bit starts, which the stepper
+    # takes mod 2**64.  The walk's windows there are the start-by-start
+    # scan's, and the parity codes the one-by-one codes.
     rng = random.Random(m)
     for k in range(1, 13):
         start = rng.getrandbits(100)
@@ -482,13 +487,17 @@ def test_generalizes_to_other_multipliers():
 @given(m=st.sampled_from([3, 5, 7, 2**40 + 1]),
        k=st.integers(min_value=1, max_value=12),
        start=st.integers(min_value=0, max_value=1 << 100),
-       near=st.sampled_from([None, 2, 3]),
+       near=st.sampled_from([None, "int64", "uint64"]),
        size=st.integers(min_value=1, max_value=1 << 10))
 @settings(max_examples=200, deadline=None)
 def test_parity_codes_equal_parity_code_loop(m, k, start, near, size):
-    if near is not None:
-        # the range ends just past the bound of near - 1 limbs
-        start = max(0, _first_stop_on_limbs(m, k, near) - 1 - start % size)
+    if near == "int64":
+        # the range ends just past the bound where values no longer fit
+        # one int64
+        start = max(0, _first_stop_past_int64(m, k) - 1 - start % size)
+    elif near == "uint64":
+        # the range holds 2**64, where the starts wrap
+        start = (1 << 64) - start % size
     codes = _parity_codes(m, k, start, size)
     assert codes.tolist() == [_parity_code(m, n, k) for n in range(start, start + size)]
 
@@ -501,6 +510,7 @@ def _periodicity_by_loop(m: int, k: int, start: int) -> tuple[int, bool]:
 
 @pytest.mark.parametrize("m,k,start", [
     (3, 1, 0), (3, 8, 1), (5, 12, 12345), (7, 9, 2**100 - 3), (2**40 + 1, 6, 2**80),
+    (3, 10, 2**64 - 2**9), (2**64 + 1, 8, 2**64 - 2**7),
 ])
 def test_periodicity_window_equals_parity_code_loop(m, k, start):
     want = _periodicity_by_loop(m, k, start)
@@ -512,13 +522,11 @@ def test_periodicity_window_equals_parity_code_loop(m, k, start):
 
 @pytest.mark.parametrize("m,k", [(3, 10), (5, 11), (7, 8)])
 def test_periodicity_window_across_int64_bound(m, k):
-    # The window's first chunks run on one int64 limb, the later ones
-    # (and the shifted window) on two.
+    # The window ends at the bound past which values no longer fit one
+    # int64, so the shifted window lies past it.
     width = 1 << k
-    start = _first_stop_on_limbs(m, k, 2) - width
+    start = _first_stop_past_int64(m, k) - width
     chunk = width // 8
-    assert _limb_count(m, k, start + chunk, _limb_width(m)) == 1
-    assert _limb_count(m, k, start + width, _limb_width(m)) == 2
     want = _periodicity_by_loop(m, k, start)
     with mock.patch.object(oracle, "_CHUNK", chunk):
         assert periodicity_window(MapParams(m), k, start) == want == (width, True)
