@@ -117,27 +117,25 @@ def _cuts(lim: list[int], top: int) -> list[int]:
     return [bisect_left(cum, cum[top] * s / stripes) for s in range(1, stripes)]
 
 
-def _diagonals(lim: list[int], lo: int, hi: int, fed: Iterator[tuple]) -> Iterator[tuple]:
+def _diagonals(lim: list[int], lo: int, hi: int, fed: Iterator[int]) -> Iterator[tuple]:
     """Step rows lo..hi - 1 of the band along the diagonals e = 1, 2, ...
-    until all are shaded.  fed gives, per diagonal, row lo - 1 on it
-    (the lower parent of row lo) and the shaded (k, count) pairs of the
-    rows under lo; each step yields the same for the rows under hi: row
-    hi - 1 on the diagonal, 0 once it is shaded, and the shaded pairs in
-    k order."""
+    until all are shaded.  fed gives, per diagonal, row lo - 1 on it (the
+    lower parent of row lo); each step yields row hi - 1 on the diagonal,
+    0 once it is shaded, and the (k, count) pairs of the rows shaded on
+    it, in k order."""
     diag = [1] * (hi - lo)  # diagonal 0: the all-odd start of each row
     i = lo  # the first live row
     e = 0
     while diag:
         e += 1
-        low, shaded = next(fed)
+        low = next(fed)
         # rows die in order of i, on the first e with m**i < 2**(i + e)
         dead = 0
         while dead < len(diag) and lim[i + e + dead] > i + dead:
             dead += 1
-        if dead:
-            shaded = [*shaded, *zip(range(i + e, i + e + dead), diag[:dead])]
-            i += dead
-            diag = diag[dead:]
+        shaded = list(zip(range(i + e, i + e + dead), diag))
+        del diag[:dead]
+        i += dead
         if diag:
             diag[0] += low
             diag = list(accumulate(diag))
@@ -153,7 +151,7 @@ def _stripe(lim: list[int], lo: int, hi: int, below, above, out, shut) -> None:
         conn.close()  # else a reader that dies leaves send blocked
     received = chain.from_iterable(iter(below.recv, None)) if below else ()
     # row lo - 1 on each diagonal, 0 once the stripe below is shaded
-    steps = _diagonals(lim, lo, hi, zip(chain(received, repeat(0)), repeat(())))
+    steps = _diagonals(lim, lo, hi, chain(received, repeat(0)))
     try:
         for batch in iter(lambda: list(islice(steps, _BATCH)), []):
             if above:
@@ -229,27 +227,21 @@ def _points(p: MapParams, k_max: int, stride: int = 1) -> Iterator[DensityPoint]
 
     def walk() -> Iterator[DensityPoint]:
         stripes = []
-
-        def shadings() -> Iterator[int]:  # the shaded count of k = 1, 2, ...
-            if cuts:
-                batches = chain.from_iterable(_received(*stripe) for stripe in stripes)
-            else:
-                steps = _diagonals(lim, 0, lim[k_max], repeat((0, ())))
-                batches = (shaded for _, shaded in steps)
-            k = 0
-            for batch in batches:
-                for k_i, count in batch:
-                    yield from repeat(0, k_i - k - 1)
-                    yield count
-                    k = k_i
-            yield from repeat(0)
-
-        n = 1
         try:
             if cuts:
                 _start_chain(lim, [0, *cuts, lim[k_max]], stripes)
+                batches = chain.from_iterable(_received(*stripe) for stripe in stripes)
+            else:
+                steps = _diagonals(lim, 0, lim[k_max], repeat(0))
+                batches = (shaded for _, shaded in steps)
+            # the shaded (k, count) pairs in k order; every other k shades 0
+            pairs = chain(chain.from_iterable(batches), [(k_max + 1, 0)])
+            n, k_i, count = 1, 0, 0
             yield _point(0, n, 0)
-            for k, shaded in zip(range(1, k_max + 1), shadings()):
+            for k in range(1, k_max + 1):
+                if k > k_i:
+                    k_i, count = next(pairs)
+                shaded = count if k == k_i else 0
                 n = 2 * n - shaded
                 if k % stride == 0 or k == k_max:
                     yield _point(k, n, shaded)

@@ -32,14 +32,13 @@ the fact the walk rests on, checked on the integers themselves.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bigmath import _coefficient_limits
 from .density import _usable_cores, density_series
-from .trajectory import MapParams, _first_drops
+from .trajectory import MapParams, _first_drops, _parity_code
 
 MAX_ORACLE_K = 26
 MAX_PERIODICITY_K = 20
@@ -112,7 +111,8 @@ def periodicity_window(p: MapParams, k: int, start: int) -> tuple[int, bool]:
     Returns how many distinct parity vectors of length k the window's
     starts have (the theorem says all 2**k), and whether every start's
     vector equals that of the start 2**k above it.  The window is
-    stepped in chunks; one table of 2**k flags collects the codes.
+    stepped in chunks; one table of 2**k flags collects the codes, and
+    each chunk's ends are checked against the map stepped on Python ints.
     """
     if not 1 <= k <= MAX_PERIODICITY_K:
         raise ValueError(f"k must be in 1..{MAX_PERIODICITY_K}")
@@ -125,6 +125,9 @@ def periodicity_window(p: MapParams, k: int, start: int) -> tuple[int, bool]:
     for lo in range(start, end, _CHUNK):
         size = min(lo + _CHUNK, end) - lo
         codes = _parity_codes(p.m, k, lo, size)
+        ends = _parity_code(p.m, lo, k), _parity_code(p.m, lo + size - 1, k)
+        if (codes[0], codes[-1]) != ends:
+            raise RuntimeError(f"the parity codes of {lo}..{lo + size - 1} are not the map's")
         seen[codes] = True
         repeats_ok = repeats_ok and np.array_equal(
             codes, _parity_codes(p.m, k, lo + width, size))
@@ -232,6 +235,7 @@ def _scan_window(p: MapParams, k: int, offset: int,
     if workers == 1:
         results = map(_walk, tasks)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_walk, tasks))
     leaves, drops, lows = zip((0, dropped, low), *results)

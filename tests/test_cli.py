@@ -338,6 +338,21 @@ def test_density_and_cycles_do_not_import_numpy():
     assert err.decode().split() == ["False", "False", "False", "False", "True"]
 
 
+def test_oracle_import_does_not_load_the_pool():
+    # The oracle imports its process pool, and so multiprocessing, only
+    # where it starts workers.
+    script = (
+        "import sys\n"
+        "import mxplus1.oracle\n"
+        "print('multiprocessing' in sys.modules,\n"
+        "      'concurrent.futures.process' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = _run_script(script)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert err.decode().split() == ["False", "False"]
+
+
 def test_density_into_a_closed_pipe_exits_141_quietly():
     # `mxplus1 density ... | head`: once the reader is gone the run ends
     # with the status a shell gives SIGPIPE, prints no traceback and

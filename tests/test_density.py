@@ -110,11 +110,11 @@ def test_table3_golden_diagonals():
     lim = _coefficient_limits(3, 20)
     cells = {(r, r): 1 for r in range(11)}
     for r in range(11):
-        for e, (value, _) in enumerate(density._diagonals(lim, 0, r + 1, repeat((0, ()))), 1):
+        for e, (value, _) in enumerate(density._diagonals(lim, 0, r + 1, repeat(0)), 1):
             if value and r + e <= 10:
                 cells[r, r + e] = value
     assert cells == {(i, k): v for k, rows in TABLE3_ROWS.items() for i, v in rows.items()}
-    steps = density._diagonals(lim, 0, 7, repeat((0, ())))
+    steps = density._diagonals(lim, 0, 7, repeat(0))
     pairs = list(chain.from_iterable(shaded for _, shaded in steps))
     assert {k: (i, count) for i, (k, count) in enumerate(pairs)} == TABLE3_SHADED
 
@@ -266,6 +266,29 @@ def _force_split(monkeypatch):
     """Cuts every band into three stripes: at m=3, k_max=400 rows 0-83,
     84-167 and 168-252."""
     monkeypatch.setattr(density, "_cuts", lambda lim, top: [top // 3, 2 * top // 3])
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("m", [3, 5])
+def test_series_ends_on_and_just_past_a_shading_k(monkeypatch, m, split):
+    # The point loop reads the next shaded pair at the first k past the
+    # last one.  A series that ends on row i's shading k_i, or one past
+    # it where no pair is left, gives the uncapped chain's points at any
+    # stride, unsplit and cut into three stripes.
+    p = MapParams(m)
+    if split:
+        _force_split(monkeypatch)
+    for i in (8, 20):
+        k_i = (m**i).bit_length()
+        cols = _columns(p, k_i + 1)
+        assert cols[k_i].shaded_count > 0
+        for k_max in (k_i, k_i + 1):
+            for stride in (1, 3, k_max):
+                assert [(pt.k, pt.N, pt.shaded_count)
+                        for pt in density_series(p, k_max, stride).points] == \
+                    [(col.k, col.N, col.shaded_count) for col in cols[:k_max + 1]
+                     if col.k % stride == 0 or col.k == k_max]
+    assert multiprocessing.active_children() == []
 
 
 def test_closing_the_points_stops_the_stripe_process(monkeypatch):

@@ -3,6 +3,7 @@ import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,7 +139,7 @@ class _RecordingPool:
 
 @pytest.mark.parametrize("cpus", [1, 2, 64, None])
 def test_worker_count_capped(monkeypatch, cpus):
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(oracle, "_usable_cores", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "tasks", [])
@@ -536,3 +537,27 @@ def test_periodicity_window_validation():
     for k, start in ((0, 1), (21, 1), (5, -1)):
         with pytest.raises(ValueError):
             periodicity_window(T3, k, start)
+
+
+def _codes_without_the_one(m: int, k: int, start: int, size: int) -> np.ndarray:
+    """_parity_codes of the wrong map: odd values step to m*v/2, the + 1
+    dropped.  Its parity vectors repeat with period 2**k too."""
+    codes = []
+    for v in range(start, start + size):
+        code = 0
+        for j in range(k):
+            code |= (v & 1) << j
+            v = (m * v if v & 1 else v) >> 1
+        codes.append(code)
+    return np.array(codes, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("stepper", [
+    _codes_without_the_one,
+    lambda m, k, start, size: _parity_codes(m + 2, k, start, size),  # another odd map
+])
+def test_periodicity_window_refuses_a_stepper_of_another_map(stepper):
+    for m, k, start in ((3, 8, 1), (5, 12, 12345), (3, 10, 2**70)):
+        with mock.patch.object(oracle, "_parity_codes", stepper):
+            with pytest.raises(RuntimeError, match="not the map's"):
+                periodicity_window(MapParams(m), k, start)
