@@ -104,14 +104,15 @@ def _cuts(lim: list[int], top: int) -> list[int]:
     """The first rows of the stripes above the lowest, at equal shares of
     the band's cost (about j bits of addition per candidate of column j):
     one stripe more than usable cores, fewer where one would cost under
-    SPLIT_MIN_COST // 2, and none on one core or for a small band."""
+    SPLIT_MIN_COST // 2 (so a band under SPLIT_MIN_COST stays whole), and
+    none on one core."""
     cost = [0] * (top + 2)  # per row, as differences
     for j in range(1, len(lim)):
         cost[lim[j - 1]] += j  # column j computes rows lim[j-1]..min(j, top)
         cost[min(j, top) + 1] -= j
     cum = list(accumulate(accumulate(cost)))
     cores = _usable_cores() or 1
-    if cores < 2 or cum[top] < SPLIT_MIN_COST:
+    if cores < 2:
         return []
     stripes = min(cores + 1, cum[top] // (SPLIT_MIN_COST // 2))
     return [bisect_left(cum, cum[top] * s / stripes) for s in range(1, stripes)]

@@ -147,11 +147,10 @@ def _children(j: int, r: np.ndarray, v: np.ndarray, k2: np.ndarray,
     return r, v, k2
 
 
-def _descend(k: int, offset: int, width: int, lim: list[int],
-             pow_m: np.ndarray, j: int, r: np.ndarray, v: np.ndarray,
-             k2: np.ndarray):
+def _descend(k: int, offset: int, lim: list[int], pow_m: np.ndarray,
+             j: int, r: np.ndarray, v: np.ndarray, k2: np.ndarray):
     """Walk the classes (r, v, k2) mod 2**j breadth first to level k at
-    most, while the children of a level fit in width (one class always
+    most, while the children of a level fit in _WIDTH (one class always
     steps).  Returns the last level's (j, r, v, k2), the classes dropped
     at step k, and the starts of [offset, offset + 2**k) that keep their
     value at their class's drop.
@@ -173,7 +172,7 @@ def _descend(k: int, offset: int, width: int, lim: list[int],
     value below 2**31.
     """
     dropped, low = 0, []
-    while j < k and (2 * r.size <= width or r.size == 1):
+    while j < k and (2 * r.size <= _WIDTH or r.size == 1):
         r, v, k2 = _children(j, r, v, k2, pow_m)
         j += 1
         drop = k2 < lim[j]
@@ -190,11 +189,11 @@ def _walk(task: tuple) -> tuple[int, int, list[int]]:
     """(leaves, classes dropped at step k, low starts) of the classes
     (r, v, k2) mod 2**j walked to level k in chunks that descend and are
     cut in two, the second half copied so that its source can go."""
-    k, offset, width, lim, pow_m, *chunk = task
+    k, offset, lim, pow_m, *chunk = task
     leaves, dropped, low, chunks = 0, 0, [], [chunk]
     while chunks:
-        j, r, v, k2, c_dropped, c_low = _descend(k, offset, width, lim,
-                                                 pow_m, *chunks.pop())
+        j, r, v, k2, c_dropped, c_low = _descend(k, offset, lim, pow_m,
+                                                 *chunks.pop())
         dropped, low = dropped + c_dropped, low + c_low
         if j == k:
             leaves += r.size
@@ -211,10 +210,9 @@ def _scan_window(p: MapParams, k: int, offset: int,
     mismatches), the mismatches in increasing order.
 
     The walk goes breadth first while a level fits _WIDTH, to level j,
-    then in chunks of at most _WIDTH // 2 classes a level, which keeps
-    them and the halves pending (about one a level) small.  Workers start
-    only if r.size*(2**(k-j+1) - 2), the most class steps left, gives
-    each POOL_MIN_STEPS.  A low start is a mismatch iff it never drops.
+    then in chunks.  Workers start only if r.size*(2**(k-j+1) - 2), the
+    most class steps left, gives each POOL_MIN_STEPS.  A low start is a
+    mismatch iff it never drops.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -227,11 +225,11 @@ def _scan_window(p: MapParams, k: int, offset: int,
     lim = _coefficient_limits(p.m, k)
     pow_m = np.array([pow(p.m, i, 1 << 64) for i in range(k + 1)], dtype=np.uint64)
     root = np.zeros(1, np.uint32), np.zeros(1, np.uint64), np.zeros(1, np.int8)
-    j, r, v, k2, dropped, low = _descend(k, offset, _WIDTH, lim, pow_m, 0, *root)
+    j, r, v, k2, dropped, low = _descend(k, offset, lim, pow_m, 0, *root)
     bound = r.size * ((2 << (k - j)) - 2)
     workers = max(1, min(jobs, _usable_cores() or 1, bound // POOL_MIN_STEPS))
     parts = zip(*(np.array_split(a, 4 * workers) for a in (r, v, k2)))
-    tasks = [(k, offset, _WIDTH // 2, lim, pow_m, j, *part) for part in parts]
+    tasks = [(k, offset, lim, pow_m, j, *part) for part in parts]
     if workers == 1:
         results = map(_walk, tasks)
     else:

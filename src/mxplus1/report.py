@@ -29,10 +29,6 @@ _LOG10_2 = math.log10(2.0)
 
 def format_float(x: float) -> str:
     """9 significant digits; scientific with unpadded exponent under 0.1."""
-    if x == 0:
-        return "0.00000000"
-    if x < 0:
-        return "-" + format_float(-x)
     mant, exp = f"{x:.8e}".split("e")
     e = int(exp)
     if e >= -1:

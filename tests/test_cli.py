@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import mxplus1
-from mxplus1 import bigmath, density, diophantine
+from mxplus1 import bigmath, density, diophantine, oracle
 from mxplus1.cli import main
 from mxplus1.density import MAX_SERIES_K
 
@@ -418,6 +418,29 @@ def test_verify_periodicity_pass(capsys):
     assert "PASS" in out
     code, _, err = run(capsys, "verify-periodicity", "--m", "3", "--k", "25")
     assert code == 2 and "--k" in err
+
+
+@pytest.mark.parametrize("shifted,want", [
+    (False, "distinct 255 of 256\nrepetition ok\n"),
+    (True, "distinct 256 of 256\nrepetition violated\n"),
+], ids=["one-vector-missing", "shifted-window-differs"])
+def test_verify_periodicity_fail(capsys, monkeypatch, shifted, want):
+    # One interior code of a chunk is set to its neighbour's and the
+    # chunk's ends are kept, so the spot check against the map passes.
+    # Changed in the window and in the window 2**k above it alike, one
+    # vector is missing but every one repeats; changed in the window
+    # above only, all are distinct but one does not repeat.
+    parity_codes = oracle._parity_codes
+
+    def codes(m, k, start, size):
+        out = parity_codes(m, k, start, size)
+        if not shifted or start > 1 << k:
+            out[size // 2] = out[size // 2 - 1]
+        return out
+
+    monkeypatch.setattr(oracle, "_parity_codes", codes)
+    code, out, _ = run(capsys, "verify-periodicity", "--m", "3", "--k", "8")
+    assert (code, out) == (1, "m 3 k 8 start 1\n" + want + "FAIL\n")
 
 
 def test_jobs_flag_output_independent(capsys):

@@ -171,19 +171,19 @@ def test_worker_count_capped(monkeypatch, cpus):
     assert _RecordingPool.sizes == expected
 
 
-def _step_bound(m: int, k: int, stop: int) -> int:
+def _value_bound(m: int, k: int, stop: int) -> int:
     """Bound above every m*v + 1 computed within k steps of a start
     below stop: every value v is under (stop+1) * (m/2)**k."""
     return m * (((stop + 1) * m**k >> k) + 1) + 1
 
 
-def _first_stop_past_int64(m: int, k: int) -> int:
-    """Least stop whose starts' step bound reaches 2**62: past it,
+def _first_wide_stop(m: int, k: int) -> int:
+    """Least stop whose starts' value bound reaches 2**62: past it,
     values no longer fit one int64."""
     lo, hi = 0, 1 << 62
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _step_bound(m, k, mid) >= 1 << 62 else (mid, hi)
+        lo, hi = (lo, mid) if _value_bound(m, k, mid) >= 1 << 62 else (mid, hi)
     return hi
 
 
@@ -195,7 +195,7 @@ def test_fast_path_matches_exact_path(m, offset):
     # walk's wrapping values read as the start-by-start scan on both
     # sides of it.
     for k in range(1, 11):
-        bound = _first_stop_past_int64(m, k)
+        bound = _first_wide_stop(m, k)
         for stop in (offset + (1 << k), bound - offset, bound + offset):
             start = stop - (1 << k)
             assert _window(m, k, start) == scan_exact(m, k, start, stop)
@@ -207,12 +207,12 @@ def test_fast_path_matches_exact_path(m, offset):
        width=st.sampled_from([1, 4, 64, 1 << 13]),
        near=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_fast_chunk_equals_exact_chunk(m, k, start, width, near):
+def test_window_at_any_width_equals_exact_scan(m, k, start, width, near):
     # Windows anywhere below 2**24, or ending at most 4 below the bound
     # past which values no longer fit one int64, walked in chunks of
     # one class (width 1) up to the default width.
     if near:
-        start = _first_stop_past_int64(m, k) - 1 - start % 4 - (1 << k)
+        start = _first_wide_stop(m, k) - 1 - start % 4 - (1 << k)
     with mock.patch.object(oracle, "_WIDTH", width):
         assert _window(m, k, start) == scan_exact(m, k, start, start + (1 << k))
 
@@ -271,7 +271,7 @@ def test_every_start_but_the_least_drops_with_its_class():
        offset=st.integers(min_value=1, max_value=16),
        width=st.sampled_from([1, 4, 64, 1 << 13]))
 @settings(max_examples=300, deadline=None)
-def test_small_starts_below_the_sieve_tops(m, k, offset, width):
+def test_low_windows_equal_exact_scan(m, k, offset, width):
     # Windows from the low starts 1 to 16, which hold the starts that
     # keep their value at their class's drop (1, 13 and 17 for m=5, the
     # least elements of its positive cycles), decided one by one.
@@ -279,7 +279,7 @@ def test_small_starts_below_the_sieve_tops(m, k, offset, width):
         assert _window(m, k, offset) == scan_exact(m, k, offset, offset + (1 << k))
 
 
-def test_sieve_bounds_the_stepped_starts():
+def test_walk_steps_two_children_per_survivor():
     # The walk steps only the children of the classes with no
     # coefficient drop yet: at level j, summed over its chunks, 2*N(j-1)
     # of the 2**j classes, where N is the table's count (734 of the
@@ -330,7 +330,7 @@ def test_window_sums_the_exact_scan(m, k, width, where, shift):
     elif where == "far":
         offset = 1 + shift
     else:
-        offset = max(1, _first_stop_past_int64(m, k) - 1 - shift % (1 << k))
+        offset = max(1, _first_wide_stop(m, k) - 1 - shift % (1 << k))
     with mock.patch.object(oracle, "_WIDTH", width):
         got = oracle._scan_window(MapParams(m), k, offset, 1)
     assert got == scan_exact(m, k, offset, offset + (1 << k))
@@ -359,13 +359,13 @@ def test_oracle_memory_is_bounded_by_the_width():
 
 
 def test_chunks_step_most_classes_in_wide_levels():
-    # A chunk is cut in two only when its next level would pass
-    # _WIDTH // 2 classes, so each half steps more than _WIDTH // 4: only
-    # the first levels of the breadth-first phase, and chunks pruned
-    # thin, step fewer, at most k of them here.  Every other level step
-    # takes at least _WIDTH // 4 of the 2*N(j-1) class steps of level j,
+    # A chunk is cut in two only when its next level would pass _WIDTH
+    # classes, so each half steps more than _WIDTH // 2: only the first
+    # levels of the breadth-first phase, and chunks pruned thin, step
+    # fewer, at most k of them here.  Every other level step takes at
+    # least _WIDTH // 2 of the 2*N(j-1) class steps of level j,
     # S = 7 280 432 in all for m=5 at k=24, which bounds its level steps
-    # by k + 4*S/_WIDTH = 3 578 (the worst-case slices this walk replaced
+    # by k + 2*S/_WIDTH = 1 801 (the worst-case slices this walk replaced
     # took 4 326).
     k = 24
     with _spy_levels() as levels:
@@ -373,17 +373,17 @@ def test_chunks_step_most_classes_in_wide_levels():
     series = density_series(T5, k, 1)
     steps = sum(2 * series.points[j - 1].N for j in range(1, k + 1))
     assert sum(r.size for _, r, _, _ in levels) == steps
-    assert sum(r.size < oracle._WIDTH // 4 for _, r, _, _ in levels) <= k
-    assert len(levels) <= k + 4 * steps // oracle._WIDTH
+    assert sum(r.size < oracle._WIDTH // 2 for _, r, _, _ in levels) <= k
+    assert len(levels) <= k + 2 * steps // oracle._WIDTH
 
 
-def test_one_limb_while_the_step_bound_fits():
+def test_m7_tallies_where_the_walk_wraps_uint64():
     # 7**23 exceeds 2**62, but the values of starts up to 2**16 stay
     # below 2**61, so they fit one int64 within 23 steps.  The walk
     # wraps the values of m=7 past 2**64 from k=23 on, and reads only
     # their parities: its window of 2**16 from 2**16 - 255 is the
     # start-by-start scan's, and at k=23 it reads the limb scan's tallies.
-    assert _step_bound(7, 23, 2**16 + 1) < 2**61
+    assert _value_bound(7, 23, 2**16 + 1) < 2**61
     start = 2**16 - 255
     assert _window(7, 16, start) == scan_exact(7, 16, start, start + 2**16)
     rep = count_window(MapParams(7), 23, start)
@@ -406,7 +406,7 @@ def test_window_across_int64_bound(m, k):
     # int64 reads the start-by-start scan's four results and the near
     # window's counts, walked in chunks of one class, of a few and of the
     # default width.
-    offset = _first_stop_past_int64(m, k) - (1 << (k - 1))
+    offset = _first_wide_stop(m, k) - (1 << (k - 1))
     p = MapParams(m)
     near = count_window(p, k, 1)
     gt, ge, agt, mism = scan_exact(m, k, offset, offset + (1 << k))
@@ -425,11 +425,11 @@ def test_window_across_int64_bound(m, k):
        shift=st.integers(min_value=0, max_value=1 << 100)
        | st.integers(min_value=1 << 99, max_value=1 << 100))
 @settings(max_examples=200, deadline=None)
-def test_limb_chunk_equals_exact_chunk(m, k, shift):
+def test_windows_far_past_wide_values_equal_exact_scan(m, k, shift):
     # Every window ends past the bound where values no longer fit one
     # int64, from just past it to 2**100 beyond; the values of 2**40+1
     # and 2**70+1 wrap past 2**64 from their second odd step on.
-    start = max(1, _first_stop_past_int64(m, k) - (1 << k)) + shift
+    start = max(1, _first_wide_stop(m, k) - (1 << k)) + shift
     assert not hasattr(oracle, "_scan_exact")  # the reference lives in the tests
     assert _window(m, k, start) == scan_exact(m, k, start, start + (1 << k))
 
@@ -495,7 +495,7 @@ def test_parity_codes_equal_parity_code_loop(m, k, start, near, size):
     if near == "int64":
         # the range ends just past the bound where values no longer fit
         # one int64
-        start = max(0, _first_stop_past_int64(m, k) - 1 - start % size)
+        start = max(0, _first_wide_stop(m, k) - 1 - start % size)
     elif near == "uint64":
         # the range holds 2**64, where the starts wrap
         start = (1 << 64) - start % size
@@ -526,7 +526,7 @@ def test_periodicity_window_across_int64_bound(m, k):
     # The window ends at the bound past which values no longer fit one
     # int64, so the shifted window lies past it.
     width = 1 << k
-    start = _first_stop_past_int64(m, k) - width
+    start = _first_wide_stop(m, k) - width
     chunk = width // 8
     want = _periodicity_by_loop(m, k, start)
     with mock.patch.object(oracle, "_CHUNK", chunk):
