@@ -28,18 +28,18 @@ With two or more usable cores a big band is cut into a chain of row
 stripes, one process each, at equal shares of its cost.  Every stripe
 steps its rows along the same diagonals, fed the top row of the stripe
 below, and sends its shaded counts straight to the calling process,
-which steps no row: it reads the stripes' counts in stripe order, which
-is k order, and writes the points.  Every stripe has cells on diagonal
-0, so all work from the first column.
+which steps no row: it reads one count a row from each stripe in turn,
+which is k order, and writes the points.  Every stripe has cells on
+diagonal 0, so all work from the first column.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat, starmap
 from typing import Iterator
 
 from .bigmath import _coefficient_limits, ratio_to_float
@@ -69,9 +69,9 @@ class DensitySeries:
     points: list[DensityPoint]
 
 
-# Series cost grows about as k**3: a stride-1 series to k = 24 000 took
-# 66-82 s and 110 MB on one core of a Xeon VM, so a run to the bound
-# finishes in minutes, not hours.
+# Series cost grows about as k**3: the m=3 table to k = 24 000 at stride
+# 1000 took 30 s and 47 MB on one core of a Xeon VM, 20 s through the
+# chain on two, so a run to the bound finishes in a minute, not hours.
 MAX_SERIES_K = 24_000
 
 
@@ -147,11 +147,12 @@ def _stripe(lim: list[int], lo: int, hi: int, below, above, out, shut) -> None:
     """A stripe process: step rows lo..hi - 1 until all are shaded, fed
     row lo - 1 by the stripe below, if any, and send per _BATCH diagonals
     row hi - 1 on each to the stripe above, if any, and the shaded pairs
-    to the caller; each stream ends with None."""
+    to the caller.  Row lo - 1 lives as many diagonals as the stripe
+    below steps, and each row is shaded once."""
     for conn in shut:
         conn.close()  # else a reader that dies leaves send blocked
-    received = chain.from_iterable(iter(below.recv, None)) if below else ()
-    # row lo - 1 on each diagonal, 0 once the stripe below is shaded
+    received = _read(below, bisect_right(lim, lo - 1) - (lo - 1)) if below else ()
+    # row lo - 1 on each diagonal it lives, then 0
     steps = _diagonals(lim, lo, hi, chain(received, repeat(0)))
     try:
         for batch in iter(lambda: list(islice(steps, _BATCH)), []):
@@ -160,22 +161,21 @@ def _stripe(lim: list[int], lo: int, hi: int, below, above, out, shut) -> None:
             pairs = [pair for _, shaded in batch for pair in shaded]
             if pairs:
                 out.send(pairs)
-        if above:
-            above.send(None)
-        out.send(None)
-        # this stripe can end on the diagonal the one below ends on, before
-        # its None: read to it, so that it is not sent into a closed pipe
-        for _ in received:
-            pass
     except (EOFError, BrokenPipeError):
         # a neighbour is gone, stopped with the chain or dead: the caller
         # reports it, so exit without a traceback on its stderr
         sys.exit(1)
 
 
+def _read(conn, n: int) -> Iterator:
+    """The first n items of the lists conn receives, read as asked for;
+    chain drops each list before the next is received."""
+    return islice(chain.from_iterable(starmap(conn.recv, repeat(()))), n)
+
+
 def _start_chain(lim: list[int], bounds: list[int], stripes: list[tuple]) -> None:
     """Fork one stripe process per pair of consecutive bounds, each fed by
-    the one below, and append (process, its stream of shaded pairs) to
+    the one below, and append (process, stream of shaded pairs, rows) to
     stripes as it starts, so that a failed start leaves none unlisted."""
     # The platform's default start method, as the oracle's pool: fork on
     # Linux, which starts in milliseconds.  spawn also re-imports the main
@@ -186,21 +186,21 @@ def _start_chain(lim: list[int], bounds: list[int], stripes: list[tuple]) -> Non
     for lo, hi in zip(bounds, bounds[1:]):
         up, above = multiprocessing.Pipe(duplex=False) if hi < bounds[-1] else (None, None)
         stream, out = multiprocessing.Pipe(duplex=False)
-        shut = [conn for _, conn in stripes] + [conn for conn in (stream, up) if conn]
+        shut = [conn for _, conn, _ in stripes] + [conn for conn in (stream, up) if conn]
         proc = multiprocessing.Process(target=_stripe, daemon=True,
                                        args=(lim, lo, hi, below, above, out, shut))
         proc.start()
         for conn in (below, above, out):
             if conn:
                 conn.close()
-        stripes.append((proc, stream))
+        stripes.append((proc, stream, hi - lo))
         below = up
 
 
-def _received(proc, stream) -> Iterator[list]:
-    """The batches of shaded pairs a stripe process sends, until its None."""
+def _received(proc, stream, rows: int) -> Iterator[tuple]:
+    """The shaded pairs a stripe process sends, one per row."""
     try:
-        yield from iter(stream.recv, None)
+        yield from _read(stream, rows)
     except (EOFError, OSError) as exc:
         proc.join()
         raise RuntimeError(f"the stripe process exited with code {proc.exitcode}") from exc
@@ -231,12 +231,11 @@ def _points(p: MapParams, k_max: int, stride: int = 1) -> Iterator[DensityPoint]
         try:
             if cuts:
                 _start_chain(lim, [0, *cuts, lim[k_max]], stripes)
-                batches = chain.from_iterable(_received(*stripe) for stripe in stripes)
+                runs = [_received(*stripe) for stripe in stripes]
             else:
-                steps = _diagonals(lim, 0, lim[k_max], repeat(0))
-                batches = (shaded for _, shaded in steps)
+                runs = (shaded for _, shaded in _diagonals(lim, 0, lim[k_max], repeat(0)))
             # the shaded (k, count) pairs in k order; every other k shades 0
-            pairs = chain(chain.from_iterable(batches), [(k_max + 1, 0)])
+            pairs = chain(chain.from_iterable(runs), [(k_max + 1, 0)])
             n, k_i, count = 1, 0, 0
             yield _point(0, n, 0)
             for k in range(1, k_max + 1):
@@ -247,7 +246,7 @@ def _points(p: MapParams, k_max: int, stride: int = 1) -> Iterator[DensityPoint]
                 if k % stride == 0 or k == k_max:
                     yield _point(k, n, shaded)
         finally:
-            for proc, stream in stripes:
+            for proc, stream, _ in stripes:
                 proc.terminate()
                 proc.join()
                 stream.close()

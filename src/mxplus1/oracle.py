@@ -147,13 +147,13 @@ def _children(j: int, r: np.ndarray, v: np.ndarray, k2: np.ndarray,
     return r, v, k2
 
 
-def _descend(k: int, offset: int, lim: list[int], pow_m: np.ndarray,
+def _descend(k: int, offset: int, lim: list[int], pow_m: np.ndarray, alive: np.ndarray,
              j: int, r: np.ndarray, v: np.ndarray, k2: np.ndarray):
     """Walk the classes (r, v, k2) mod 2**j breadth first to level k at
     most, while the children of a level fit in _WIDTH (one class always
-    steps).  Returns the last level's (j, r, v, k2), the classes dropped
-    at step k, and the starts of [offset, offset + 2**k) that keep their
-    value at their class's drop.
+    steps), and add the classes left at each level to alive[level].
+    Returns the last level's (j, r, v, k2) and the starts of
+    [offset, offset + 2**k) that keep their value at their class's drop.
 
     A child drops at step j when k2 < lim[j].  Then k2 = lim[j] - 1 (it
     was lim[j-1] or more a step before, and lim[j] <= lim[j-1] + 1), so
@@ -171,37 +171,33 @@ def _descend(k: int, offset: int, lim: list[int], pow_m: np.ndarray,
     falls, so every a, and m*a at an odd step, is below 2**j, and every
     value below 2**31.
     """
-    dropped, low = 0, []
+    low = []
     while j < k and (2 * r.size <= _WIDTH or r.size == 1):
         r, v, k2 = _children(j, r, v, k2, pow_m)
         j += 1
         drop = k2 < lim[j]
-        if j == k:
-            dropped = int(np.count_nonzero(drop))
         # r < 2**k: in the window iff r >= offset
         low += [n for n in r[drop & (v >= r)].tolist() if n >= offset]
         keep = np.flatnonzero(~drop)
+        alive[j] += keep.size
         r, v, k2 = r.take(keep), v.take(keep), k2.take(keep)
-    return j, r, v, k2, dropped, low
+    return j, r, v, k2, low
 
 
-def _walk(task: tuple) -> tuple[int, int, list[int]]:
-    """(leaves, classes dropped at step k, low starts) of the classes
-    (r, v, k2) mod 2**j walked to level k in chunks that descend and are
-    cut in two, the second half copied so that its source can go."""
+def _walk(task: tuple) -> tuple[np.ndarray, list[int]]:
+    """(classes left at each level, low starts) of the classes (r, v, k2)
+    mod 2**j walked to level k in chunks that descend and are cut in
+    two, the second half copied so that its source can go."""
     k, offset, lim, pow_m, *chunk = task
-    leaves, dropped, low, chunks = 0, 0, [], [chunk]
+    alive, low, chunks = np.zeros(k + 1, np.int64), [], [chunk]
     while chunks:
-        j, r, v, k2, c_dropped, c_low = _descend(k, offset, lim, pow_m,
-                                                 *chunks.pop())
-        dropped, low = dropped + c_dropped, low + c_low
-        if j == k:
-            leaves += r.size
-            continue
-        half = r.size // 2
-        chunks += [(j, r[half:].copy(), v[half:].copy(), k2[half:].copy()),
-                   (j, r[:half], v[:half], k2[:half])]
-    return leaves, dropped, low
+        j, r, v, k2, c_low = _descend(k, offset, lim, pow_m, alive, *chunks.pop())
+        low += c_low
+        if j < k:
+            half = r.size // 2
+            chunks += [(j, r[half:].copy(), v[half:].copy(), k2[half:].copy()),
+                       (j, r[:half], v[:half], k2[:half])]
+    return alive, low
 
 
 def _scan_window(p: MapParams, k: int, offset: int,
@@ -225,7 +221,8 @@ def _scan_window(p: MapParams, k: int, offset: int,
     lim = _coefficient_limits(p.m, k)
     pow_m = np.array([pow(p.m, i, 1 << 64) for i in range(k + 1)], dtype=np.uint64)
     root = np.zeros(1, np.uint32), np.zeros(1, np.uint64), np.zeros(1, np.int8)
-    j, r, v, k2, dropped, low = _descend(k, offset, lim, pow_m, 0, *root)
+    alive = np.array([1] + [0] * k)  # the root, the one class mod 2**0
+    j, r, v, k2, low = _descend(k, offset, lim, pow_m, alive, 0, *root)
     bound = r.size * ((2 << (k - j)) - 2)
     workers = max(1, min(jobs, _usable_cores() or 1, bound // POOL_MIN_STEPS))
     parts = zip(*(np.array_split(a, 4 * workers) for a in (r, v, k2)))
@@ -236,10 +233,11 @@ def _scan_window(p: MapParams, k: int, offset: int,
         from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_walk, tasks))
-    leaves, drops, lows = zip((0, dropped, low), *results)
-    gt, low = sum(leaves), sorted(n for part in lows for n in part)
+    alives, lows = zip((alive, low), *results)
+    alive, low = sum(alives).tolist(), sorted(n for part in lows for n in part)
     mismatches = [n for n in low if not _first_drops(p.m, n, k)[1]]
-    return gt, gt + sum(drops), gt + len(mismatches), mismatches
+    # the window holds each class mod 2**k once, and each mod 2**(k-1) twice
+    return alive[k], 2 * alive[k - 1], alive[k] + len(mismatches), mismatches
 
 
 def count_window(p: MapParams, k: int, offset: int = 1, *,

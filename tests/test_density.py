@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import time
+from bisect import bisect_right
 from itertools import chain, repeat
 
 import pytest
@@ -340,24 +341,51 @@ def test_dead_stripe_process_raises_before_a_wrong_point(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_stripe_short_of_a_pair_raises_before_a_wrong_point(monkeypatch):
+    want = density_series(T3, 400).points
+    diagonals = density._diagonals
+
+    def short(lim, lo, hi, fed):
+        k_top = bisect_right(lim, hi - 1)  # where row hi - 1 is shaded
+        for value, shaded in diagonals(lim, lo, hi, fed):
+            yield value, [pair for pair in shaded if lo == 0 or pair[0] != k_top]
+
+    # the stripes above the lowest drop their top row's pair; the caller
+    # reads one pair a row, so it waits for the lost one until its stripe
+    # exits, and the points stop at the k before it
+    monkeypatch.setattr(density, "_diagonals", short)
+    _force_split(monkeypatch)
+    got = []
+    with pytest.raises(RuntimeError, match="stripe process exited with code 0"):
+        got.extend(_points(T3, 400))
+    # row 167, the middle stripe's top, is shaded at k = 265
+    assert len(got) == (3**167).bit_length() == 265
+    assert got == want[:len(got)]
+    assert multiprocessing.active_children() == []
+
+
 def test_a_stripe_that_ends_with_the_one_below_reads_to_its_end(monkeypatch):
     # Rows 2 and 3 of m=3 both die on diagonal 2, so the stripe of row 3
-    # ends on the diagonal the stripe of rows 0-2 ends on, before that one
-    # sends its None.  Held back, the None still goes into an open pipe.
+    # ends on the diagonal the stripe of rows 0-2 ends on.  That stripe's
+    # one batch of values goes in two, its last value (row 2 on diagonal
+    # 2, shaded: 0) 0.2 s late.  The stripe of row 3 reads as many values
+    # as row 2 lives diagonals, so it waits for that one, which goes into
+    # an open pipe; had it read one fewer and exited, the late send would
+    # end the lower stripe before it sent its last shaded pairs.
     want = density_series(T3, 20).points
     stripe = density._stripe
 
-    class SlowEnd:
+    class LateLastValue:
         def __init__(self, conn):
             self.conn = conn
 
         def send(self, batch):
-            if batch is None:
-                time.sleep(0.2)
-            self.conn.send(batch)
+            self.conn.send(batch[:-1])
+            time.sleep(0.2)
+            self.conn.send(batch[-1:])
 
     monkeypatch.setattr(density, "_stripe", lambda lim, lo, hi, below, above, out, shut:
-                        stripe(lim, lo, hi, below, SlowEnd(above) if lo == 0 else above,
+                        stripe(lim, lo, hi, below, LateLastValue(above) if lo == 0 else above,
                                out, shut))
     monkeypatch.setattr(density, "_cuts", lambda lim, top: [3, 4])
     assert [(3**i).bit_length() - i for i in (2, 3)] == [2, 2]

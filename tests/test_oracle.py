@@ -1,6 +1,8 @@
+import multiprocessing
 import random
 import tracemalloc
 from contextlib import contextmanager
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -107,7 +109,13 @@ def test_partition_determinism(monkeypatch):
 def test_jobs_bit_identical(monkeypatch):
     # a width of 64 leaves 38 classes of the m=3 window of 2**12 after
     # the breadth-first phase, and one class step a worker starts a real
-    # pool on any machine with more than one core
+    # pool on any machine with more than one core; its workers are
+    # forked, so that they walk at the patched width whatever the
+    # platform's default start method
+    from concurrent.futures import ProcessPoolExecutor
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor, mp_context=fork))
     monkeypatch.setattr(oracle, "_WIDTH", 64)
     monkeypatch.setattr(oracle, "POOL_MIN_STEPS", 1)
     seq = count_window(T3, 12, jobs=1)
@@ -218,7 +226,7 @@ def test_window_at_any_width_equals_exact_scan(m, k, start, width, near):
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 2**40 + 1])
-def test_sieve_table_is_exact(m):
+def test_every_class_of_the_walk_against_its_starts(m):
     # Every class the walk to level s reaches, against the scalar walk of
     # its starts n = r + u*2**j, u = 0..2: a class that drops at level j
     # has fc = j for each n, its value is T^(j)(r), below 2**(j+1), and n
@@ -449,7 +457,7 @@ def test_limb_chunk_wide_multipliers(m):
         assert codes == [_parity_code(m, n, k) for n in range(start, start + 64)]
 
 
-def test_fallback_far_window_matches_near_window():
+def test_far_window_matches_near_window():
     # an offset far beyond the int64 bound; window invariance must still
     # hold
     far = 3 * 10**17 + 1
