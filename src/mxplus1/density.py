@@ -24,13 +24,15 @@ Only the current diagonal is kept in memory, so the recursion streams
 to large k.  Every entry is an exact integer; floats appear only in
 the emitted distribution values F = N / 2**k.
 
-With two or more usable cores a big band is cut into a chain of row
-stripes, one process each, at equal shares of its cost.  Every stripe
-steps its rows along the same diagonals, fed the top row of the stripe
-below, and sends its shaded counts straight to the calling process,
-which steps no row: it reads one count a row from each stripe in turn,
-which is k order, and writes the points.  Every stripe has cells on
-diagonal 0, so all work from the first column.
+With two or more usable cores and os.fork a big band is cut into a
+chain of row stripes, one forked process each, at equal shares of its
+cost.  Every stripe steps its rows along the same diagonals, fed the top
+row of the stripe below through a pipe, and sends its shaded counts
+straight to the calling process through another, which steps no row: it
+reads one count a row from each stripe in turn, which is k order, and
+writes the points.  Every stripe has cells on diagonal 0, so all work
+from the first column.  Where os.fork does not exist the band runs
+unsplit, as on one core.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import os
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat, starmap
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterator
 
 from .bigmath import _coefficient_limits, ratio_to_float
@@ -83,10 +85,11 @@ def _point(k: int, n: int, shaded: int) -> DensityPoint:
 
 # A band is split when its cost (see _cuts) reaches this many bits of
 # addition, and no stripe gets less than half of it: on a 2-core Xeon VM a
-# chain of three stripe processes took 10-20 ms more than one process to
-# start and stop, multiprocessing's import 10 ms, and such a band 0.5-0.7 s.
+# chain of three stripe processes took 5 ms more than one process to start
+# and stop (m=3, k_max=200, median of 31 in-process), and such a band
+# 0.5-0.7 s.
 SPLIT_MIN_COST = 5 * 10**9
-# Diagonals per message from a stripe process: 16 to 256 took the same time
+# Diagonals per record from a stripe process: 16 to 256 took the same time
 # within noise (the three table runs of perfbench, 2-core Xeon VM).
 _BATCH = 64
 
@@ -105,14 +108,14 @@ def _cuts(lim: list[int], top: int) -> list[int]:
     the band's cost (about j bits of addition per candidate of column j):
     one stripe more than usable cores, fewer where one would cost under
     SPLIT_MIN_COST // 2 (so a band under SPLIT_MIN_COST stays whole), and
-    none on one core."""
+    none on one core or where os.fork does not exist."""
     cost = [0] * (top + 2)  # per row, as differences
     for j in range(1, len(lim)):
         cost[lim[j - 1]] += j  # column j computes rows lim[j-1]..min(j, top)
         cost[min(j, top) + 1] -= j
     cum = list(accumulate(accumulate(cost)))
     cores = _usable_cores() or 1
-    if cores < 2:
+    if cores < 2 or not hasattr(os, "fork"):
         return []
     stripes = min(cores + 1, cum[top] // (SPLIT_MIN_COST // 2))
     return [bisect_left(cum, cum[top] * s / stripes) for s in range(1, stripes)]
@@ -143,67 +146,98 @@ def _diagonals(lim: list[int], lo: int, hi: int, fed: Iterator[int]) -> Iterator
         yield (diag[-1] if diag else 0), shaded
 
 
-def _stripe(lim: list[int], lo: int, hi: int, below, above, out, shut) -> None:
+def _stripe(lim: list[int], lo: int, hi: int, below, above, out) -> None:
     """A stripe process: step rows lo..hi - 1 until all are shaded, fed
-    row lo - 1 by the stripe below, if any, and send per _BATCH diagonals
+    row lo - 1 by the stripe below, if any, and write per _BATCH diagonals
     row hi - 1 on each to the stripe above, if any, and the shaded pairs
-    to the caller.  Row lo - 1 lives as many diagonals as the stripe
-    below steps, and each row is shaded once."""
-    for conn in shut:
-        conn.close()  # else a reader that dies leaves send blocked
+    to the caller, each list as one pickle on its pipe file.  Row lo - 1
+    lives as many diagonals as the stripe below steps, and each row is
+    shaded once."""
+    from pickle import dump  # loaded by _start_chain before the fork
+
+    def send(file, items: list) -> None:
+        dump(items, file)
+        file.flush()
+
     received = _read(below, bisect_right(lim, lo - 1) - (lo - 1)) if below else ()
     # row lo - 1 on each diagonal it lives, then 0
     steps = _diagonals(lim, lo, hi, chain(received, repeat(0)))
-    try:
-        for batch in iter(lambda: list(islice(steps, _BATCH)), []):
-            if above:
-                above.send([value for value, _ in batch])
-            pairs = [pair for _, shaded in batch for pair in shaded]
-            if pairs:
-                out.send(pairs)
-    except (EOFError, BrokenPipeError):
-        # a neighbour is gone, stopped with the chain or dead: the caller
-        # reports it, so exit without a traceback on its stderr
-        sys.exit(1)
+    for batch in iter(lambda: list(islice(steps, _BATCH)), []):
+        if above:
+            send(above, [value for value, _ in batch])
+        pairs = [pair for _, shaded in batch for pair in shaded]
+        if pairs:
+            send(out, pairs)
 
 
-def _read(conn, n: int) -> Iterator:
-    """The first n items of the lists conn receives, read as asked for;
-    chain drops each list before the next is received."""
-    return islice(chain.from_iterable(starmap(conn.recv, repeat(()))), n)
+def _read(file, n: int) -> Iterator:
+    """The first n items of the lists pickled to file, read as asked for;
+    chain drops each list before the next is loaded."""
+    from pickle import load
+    return islice(chain.from_iterable(map(load, repeat(file))), n)
 
 
 def _start_chain(lim: list[int], bounds: list[int], stripes: list[tuple]) -> None:
     """Fork one stripe process per pair of consecutive bounds, each fed by
-    the one below, and append (process, stream of shaded pairs, rows) to
-    stripes as it starts, so that a failed start leaves none unlisted."""
-    # The platform's default start method, as the oracle's pool: fork on
-    # Linux, which starts in milliseconds.  spawn also re-imports the main
-    # module, which for perfbench's op.py means numpy: 1.6-2.1 s more CPU
-    # per table pass on a 2-core Xeon VM.
-    import multiprocessing  # only here: its import costs 38 ms
+    the one below, and append (pid, stream of shaded pairs, rows) to
+    stripes as it starts, so that a failed start leaves none unlisted.
+    A stripe leaves only by os._exit, never by the caller's finally
+    blocks, atexit handlers or buffered output: with 0 when it is done,
+    1 after its traceback on an error, and 1 quietly when a neighbour is
+    gone, even within a record, or on an interrupt: the caller reports
+    those."""
+    import pickle  # only here, and before the forks: the stripes inherit it
     below = None
     for lo, hi in zip(bounds, bounds[1:]):
-        up, above = multiprocessing.Pipe(duplex=False) if hi < bounds[-1] else (None, None)
-        stream, out = multiprocessing.Pipe(duplex=False)
-        shut = [conn for _, conn, _ in stripes] + [conn for conn in (stream, up) if conn]
-        proc = multiprocessing.Process(target=_stripe, daemon=True,
-                                       args=(lim, lo, hi, below, above, out, shut))
-        proc.start()
-        for conn in (below, above, out):
-            if conn:
-                conn.close()
-        stripes.append((proc, stream, hi - lo))
+        for std in (sys.stdout, sys.stderr):
+            try:
+                std.flush()  # else a stripe would hold the caller's unwritten output
+            except (AttributeError, ValueError):  # None or closed, as multiprocessing allows
+                pass
+        # each pipe's read and write ends as buffered binary files
+        up, above = map(open, os.pipe(), ("rb", "wb")) if hi < bounds[-1] else (None, None)
+        stream, out = map(open, os.pipe(), ("rb", "wb"))
+        shut = [file for _, file, _ in stripes] + [file for file in (stream, up) if file]
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                for file in shut:
+                    file.close()  # else a reader that dies leaves a write blocked
+                _stripe(lim, lo, hi, below, above, out)
+                code = 0
+            except (EOFError, BrokenPipeError, pickle.UnpicklingError):
+                pass  # a neighbour is gone, stopped with the chain or dead
+            except Exception:
+                import traceback
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+        for file in (below, above, out):
+            if file:
+                file.close()
+        stripes.append((pid, stream, hi - lo))
         below = up
 
 
-def _received(proc, stream, rows: int) -> Iterator[tuple]:
-    """The shaded pairs a stripe process sends, one per row."""
+def _stop(pid: int, stream) -> int:
+    """Close a stripe's stream, stop its process and reap it: its exit
+    code, or minus the signal that ended it."""
+    from signal import SIGTERM
+    stream.close()
+    os.kill(pid, SIGTERM)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _received(pid: int, stream, rows: int) -> Iterator[tuple]:
+    """The shaded pairs a stripe process sends, one per row.  A stream
+    that ends short is closed here, and its stripe stopped."""
+    from pickle import UnpicklingError
     try:
         yield from _read(stream, rows)
-    except (EOFError, OSError) as exc:
-        proc.join()
-        raise RuntimeError(f"the stripe process exited with code {proc.exitcode}") from exc
+    except (EOFError, UnpicklingError) as exc:
+        raise RuntimeError(f"the stripe process exited with code {_stop(pid, stream)}") from exc
 
 
 def _points(p: MapParams, k_max: int, stride: int = 1) -> Iterator[DensityPoint]:
@@ -246,10 +280,11 @@ def _points(p: MapParams, k_max: int, stride: int = 1) -> Iterator[DensityPoint]
                 if k % stride == 0 or k == k_max:
                     yield _point(k, n, shaded)
         finally:
-            for proc, stream, _ in stripes:
-                proc.terminate()
-                proc.join()
-                stream.close()
+            # top down, so that no stripe is stopped within a record to a
+            # live one; a stripe whose stream is closed was stopped already
+            for pid, stream, _ in reversed(stripes):
+                if not stream.closed:
+                    _stop(pid, stream)
 
     return walk()
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ import mxplus1
 from mxplus1 import bigmath, density, diophantine, oracle
 from mxplus1.cli import main
 from mxplus1.density import MAX_SERIES_K
+from procs import children
 
 
 def run(capsys, *argv):
@@ -300,9 +302,10 @@ def test_density_streams_lines_as_columns_are_computed(monkeypatch, fmt):
 
 
 def _run_script(script: str) -> subprocess.Popen:
+    # the package and the tests' own helpers (procs.children) importable
     src = os.path.dirname(os.path.dirname(mxplus1.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        filter(None, (src, os.path.dirname(__file__), os.environ.get("PYTHONPATH"))))}
     return subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, env=env)
 
@@ -315,9 +318,9 @@ FORCE_SPLIT = "mxplus1.density._cuts = lambda lim, top: [top // 3, 2 * top // 3]
 def test_density_and_cycles_do_not_import_numpy():
     # Only the brute-force scans need numpy; the table and the cycle
     # search run without loading it, in every output format and with a
-    # split band.  The import alone does not load multiprocessing either,
-    # and decimal loads only for the exact counts of csv and json, so
-    # neither the import nor the table format pays for it.
+    # split band.  Neither the import nor a split band loads
+    # multiprocessing, and decimal loads only for the exact counts of csv
+    # and json, so neither the import nor the table format pays for it.
     script = (
         "import sys\n"
         "import mxplus1.cli\n"
@@ -335,7 +338,7 @@ def test_density_and_cycles_do_not_import_numpy():
     proc = _run_script(script)
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
-    assert err.decode().split() == ["False", "False", "False", "False", "True"]
+    assert err.decode().split() == ["False", "False", "False", "False", "False"]
 
 
 def test_oracle_import_does_not_load_the_pool():
@@ -358,11 +361,12 @@ def test_density_into_a_closed_pipe_exits_141_quietly():
     # with the status a shell gives SIGPIPE, prints no traceback and
     # leaves no stripe process behind.
     script = (
-        "import multiprocessing, sys\n"
+        "import sys\n"
         "import mxplus1.cli\n"
+        "from procs import children\n"
         + FORCE_SPLIT +
         "code = mxplus1.cli.main(['density', '--m', '3', '--k-max', '1000'])\n"
-        "print(code, multiprocessing.active_children(), file=sys.stderr)\n"
+        "print(code, children(), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     proc = _run_script(script)
@@ -371,6 +375,98 @@ def test_density_into_a_closed_pipe_exits_141_quietly():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=120), err) == (141, b"141 []\n")
+
+
+def _stopped(pid: int) -> bool:
+    """Whether a process has ended: gone, or a zombie not yet reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_stripes_of_a_killed_caller_end_on_their_own():
+    # The caller of a split run is killed with SIGKILL: no finally block
+    # runs, so its stripes learn it only from their pipes.  The lowest
+    # writes its next pairs into a pipe with no reader (EPIPE), and each
+    # stripe above then finds its feed at its end (EOF).  Slowed to
+    # 20 ms a diagonal, they would step for 15 s.
+    script = (
+        "import sys, time\n"
+        "import mxplus1.cli\n"
+        "from mxplus1 import density\n"
+        + FORCE_SPLIT +
+        "diagonals = density._diagonals\n"
+        "def slow(*args):\n"
+        "    for step in diagonals(*args):\n"
+        "        time.sleep(0.02)\n"
+        "        yield step\n"
+        "density._diagonals = slow\n"
+        "mxplus1.cli.main(['density', '--m', '3', '--k-max', '2000'])\n"
+    )
+    proc = _run_script(script)
+    try:
+        assert proc.stdout.readline() == b"k,N,pow2k,shaded,F_new,F_terras,G\n"
+        deadline = time.monotonic() + 10
+        while len(stripes := children(proc.pid)) < 3:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.communicate(timeout=60)
+    deadline = time.monotonic() + 10
+    while not all(map(_stopped, stripes)):
+        assert time.monotonic() < deadline, "a stripe outlived its caller by 10 s"
+        time.sleep(0.05)
+
+
+@pytest.mark.parametrize("fail,slow", [((84, 80), None), ((168, 1), (84, 65))])
+def test_a_stripe_that_fails_raises_before_a_wrong_point(tmp_path, fail, slow):
+    # A stripe raises on a diagonal (first row, diagonal): it prints its
+    # traceback once and exits 1.  The middle of three stripes failing
+    # after its first batch is reported itself.  When the top one fails
+    # on its first diagonal, the middle, held 0.5 s after its first batch,
+    # finds it gone on its next write and exits 1 quietly, and that is the
+    # stripe the caller reports.  Either way the caller raises
+    # RuntimeError naming code 1 after the points that batch decides.
+    # What the caller wrote before the fork goes out once: the csv header
+    # on stdout, and a line on a block-buffered stderr, which a stripe's
+    # traceback would carry again had it not been flushed.
+    assert main(["density", "--m", "3", "--k-max", "400", "--out", str(tmp_path / "want")]) == 0
+    want = (tmp_path / "want").read_bytes().splitlines(True)
+    script = (
+        "import sys, time\n"
+        "import mxplus1.cli\n"
+        "from mxplus1 import density\n"
+        "from procs import children\n"
+        + FORCE_SPLIT +
+        "diagonals = density._diagonals\n"
+        "def failing(lim, lo, hi, fed):\n"
+        "    for e, step in enumerate(diagonals(lim, lo, hi, fed), 1):\n"
+        f"        if (lo, e) == {fail}:\n"
+        "            raise ZeroDivisionError('planted')\n"
+        f"        if (lo, e) == {slow}:\n"
+        "            time.sleep(0.5)\n"
+        "        yield step\n"
+        "density._diagonals = failing\n"
+        "sys.stderr = open(2, 'w', closefd=False)\n"
+        "print('written before the fork', file=sys.stderr)\n"
+        "try:\n"
+        "    mxplus1.cli.main(['density', '--m', '3', '--k-max', '400'])\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised:', exc, children(), file=sys.stderr)\n"
+    )
+    proc = _run_script(script)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    lines = out.splitlines(True)
+    assert lines.count(want[0]) == 1 and 1 < len(lines) < len(want)
+    assert lines == want[:len(lines)]
+    err = err.decode()
+    assert err.count("written before the fork") == 1
+    assert err.count("Traceback") == err.count("ZeroDivisionError: planted") == 1
+    assert err.endswith("raised: the stripe process exited with code 1 []\n")
 
 
 def test_every_public_name_resolves():

@@ -1,6 +1,6 @@
 import math
-import multiprocessing
 import os
+import pickle
 import time
 from bisect import bisect_right
 from itertools import chain, repeat
@@ -13,6 +13,7 @@ from mxplus1 import T3, T5, MapParams, density, density_series
 from mxplus1.bigmath import _coefficient_limits
 from mxplus1.density import MAX_SERIES_K, _points
 from mxplus1.oracle import MAX_ORACLE_K
+from procs import children
 from reference import (GREATER, LESS, DensityColumn, binomial_reference,
                        cmp_pow, initial_column, next_column)
 
@@ -257,7 +258,7 @@ def test_split_series_equals_unsplit(m, k_max, stride, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(density, "_cuts", lambda lim, top: cuts)
         assert density_series(p, k_max, stride).points == want
-    assert multiprocessing.active_children() == []
+    assert children() == []
     assert [(pt.k, pt.N, pt.shaded_count) for pt in want] == \
         [(col.k, col.N, col.shaded_count) for col in _columns(p, k_max)
          if col.k % stride == 0 or col.k == k_max]
@@ -289,7 +290,7 @@ def test_series_ends_on_and_just_past_a_shading_k(monkeypatch, m, split):
                         for pt in density_series(p, k_max, stride).points] == \
                     [(col.k, col.N, col.shaded_count) for col in cols[:k_max + 1]
                      if col.k % stride == 0 or col.k == k_max]
-    assert multiprocessing.active_children() == []
+    assert children() == []
 
 
 def test_closing_the_points_stops_the_stripe_process(monkeypatch):
@@ -300,11 +301,11 @@ def test_closing_the_points_stops_the_stripe_process(monkeypatch):
                         (stripe(*args), time.sleep(600)))
     _force_split(monkeypatch)
     points = _points(T3, 400)
-    assert multiprocessing.active_children() == []
+    assert children() == []
     assert next(points).k == 0
-    assert len(multiprocessing.active_children()) == 3
+    assert len(children()) == 3
     points.close()
-    assert multiprocessing.active_children() == []
+    assert children() == []
 
 
 def test_dead_stripe_process_raises_before_a_wrong_point(monkeypatch):
@@ -312,18 +313,21 @@ def test_dead_stripe_process_raises_before_a_wrong_point(monkeypatch):
     stripe = density._stripe
 
     class DiesAfterFirstBatch:
-        def __init__(self, conn):
-            self.conn = conn
+        def __init__(self, file):
+            self.file = file
 
-        def send(self, batch):
-            self.conn.send(batch)
+        def write(self, data):
+            return self.file.write(data)
+
+        def flush(self):
+            self.file.flush()
             os._exit(3)
 
     # the middle stripe dies after its first batch of shaded counts; the
     # one above it, fed by it, then fails on its own
-    monkeypatch.setattr(density, "_stripe", lambda lim, lo, hi, below, above, out, shut:
+    monkeypatch.setattr(density, "_stripe", lambda lim, lo, hi, below, above, out:
                         stripe(lim, lo, hi, below, above,
-                               DiesAfterFirstBatch(out) if lo == 84 else out, shut))
+                               DiesAfterFirstBatch(out) if lo == 84 else out))
     _force_split(monkeypatch)
     got = []
     with pytest.raises(RuntimeError, match="stripe process exited with code 3"):
@@ -338,7 +342,7 @@ def test_dead_stripe_process_raises_before_a_wrong_point(monkeypatch):
     first_lost = min(k for i, k in shaded_at.items() if batch[i] > first)
     assert last_sent <= got[-1].k < first_lost
     assert got == want[:len(got)]
-    assert multiprocessing.active_children() == []
+    assert children() == []
 
 
 def test_a_stripe_short_of_a_pair_raises_before_a_wrong_point(monkeypatch):
@@ -361,7 +365,7 @@ def test_a_stripe_short_of_a_pair_raises_before_a_wrong_point(monkeypatch):
     # row 167, the middle stripe's top, is shaded at k = 265
     assert len(got) == (3**167).bit_length() == 265
     assert got == want[:len(got)]
-    assert multiprocessing.active_children() == []
+    assert children() == []
 
 
 def test_a_stripe_that_ends_with_the_one_below_reads_to_its_end(monkeypatch):
@@ -376,21 +380,27 @@ def test_a_stripe_that_ends_with_the_one_below_reads_to_its_end(monkeypatch):
     stripe = density._stripe
 
     class LateLastValue:
-        def __init__(self, conn):
-            self.conn = conn
+        def __init__(self, file):
+            self.file, self.record = file, b""
 
-        def send(self, batch):
-            self.conn.send(batch[:-1])
+        def write(self, data):
+            self.record += data
+
+        def flush(self):
+            batch, self.record = pickle.loads(self.record), b""
+            pickle.dump(batch[:-1], self.file)
+            self.file.flush()
             time.sleep(0.2)
-            self.conn.send(batch[-1:])
+            pickle.dump(batch[-1:], self.file)
+            self.file.flush()
 
-    monkeypatch.setattr(density, "_stripe", lambda lim, lo, hi, below, above, out, shut:
+    monkeypatch.setattr(density, "_stripe", lambda lim, lo, hi, below, above, out:
                         stripe(lim, lo, hi, below, LateLastValue(above) if lo == 0 else above,
-                               out, shut))
+                               out))
     monkeypatch.setattr(density, "_cuts", lambda lim, top: [3, 4])
     assert [(3**i).bit_length() - i for i in (2, 3)] == [2, 2]
     assert density_series(T3, 20).points == want
-    assert multiprocessing.active_children() == []
+    assert children() == []
 
 
 @pytest.mark.parametrize("cpus,m,k_max", [(1, 3, 6000), (None, 5, 6000), (64, 3, 3000),
@@ -401,8 +411,17 @@ def test_no_stripe_process_on_one_core_or_a_small_band(monkeypatch, cpus, m, k_m
     assert density._cuts(lim, top) == []
     points = _points(MapParams(m), k_max)
     next(points)
-    assert multiprocessing.active_children() == []
+    assert children() == []
     points.close()
+
+
+def test_no_stripe_process_without_fork(monkeypatch):
+    # Where os.fork does not exist a big band runs unsplit, as on one core.
+    monkeypatch.setattr(density, "_usable_cores", lambda: 2)
+    lim, top = _band(3, 6000)
+    assert density._cuts(lim, top) != []
+    monkeypatch.delattr(os, "fork")
+    assert density._cuts(lim, top) == []
 
 
 def test_usable_cores_follow_the_affinity(monkeypatch):

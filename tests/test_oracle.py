@@ -197,7 +197,7 @@ def _first_wide_stop(m: int, k: int) -> int:
 
 @pytest.mark.parametrize("m", [3, 5])
 @pytest.mark.parametrize("offset", [1, 7])
-def test_fast_path_matches_exact_path(m, offset):
+def test_windows_on_both_sides_of_the_int64_bound_equal_exact_scan(m, offset):
     # A window from the offset, and windows ending `offset` below and
     # above the bound past which values no longer fit one int64: the
     # walk's wrapping values read as the start-by-start scan on both
@@ -444,7 +444,7 @@ def test_windows_far_past_wide_values_equal_exact_scan(m, k, shift):
 
 @pytest.mark.parametrize("m", [2**31 - 1, 2**40 + 1, 2**61 - 1, 3**40, 2**70 + 1,
                                2**64 + 1, 2**64 + 3])
-def test_limb_chunk_wide_multipliers(m):
+def test_wide_multipliers_equal_exact_scan_and_codes(m):
     # Multipliers past 31 bits, 2**64 + 1 (m - 1 wraps to 0) and 2**64 + 3
     # (to 2) among them, at random 100-bit starts, which the stepper
     # takes mod 2**64.  The walk's windows there are the start-by-start
