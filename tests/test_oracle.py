@@ -197,7 +197,7 @@ def _first_wide_stop(m: int, k: int) -> int:
 
 @pytest.mark.parametrize("m", [3, 5])
 @pytest.mark.parametrize("offset", [1, 7])
-def test_windows_on_both_sides_of_the_int64_bound_equal_exact_scan(m, offset):
+def test_fast_path_matches_exact_path(m, offset):
     # A window from the offset, and windows ending `offset` below and
     # above the bound past which values no longer fit one int64: the
     # walk's wrapping values read as the start-by-start scan on both
