@@ -24,10 +24,10 @@ steps: only parities are read, and a class that drops never wraps (see
 _descend).  It goes in chunks, halved as they grow, that are summed: the
 result is bit-identical for any cut or worker count (see _scan_window).
 
-The periodicity check steps each start on its own, on wrapping uint64
-like the walk: parity vectors of length k repeat with period 2**k, and
-the 2**k vectors of one window are all distinct (Terras 1976).  This is
-the fact the walk rests on, checked on the integers themselves.
+The periodicity check steps each start on its own, on wrapping uint32:
+parity vectors of length k repeat with period 2**k, and the 2**k vectors
+of one window are all distinct (Terras 1976).  This is the fact the walk
+rests on, checked on the integers themselves.
 """
 
 from __future__ import annotations
@@ -42,7 +42,12 @@ from .trajectory import MapParams, _first_drops, _parity_code
 
 MAX_ORACLE_K = 26
 MAX_PERIODICITY_K = 20
-_CHUNK = 1 << 16  # periodicity_window's chunk width
+# periodicity_window's chunk width.  Chunks of 2**12 .. 2**16 starts: for
+# m=3, verify-periodicity peaked at 29 620, 29 688, 29 732, 30 148 and
+# 30 548 KB RSS in 7.4, 6.3, 6.0, 6.0 and 6.5 ms at k=16, and at 30 480,
+# 30 484, 30 744, 31 116 and 31 768 KB in 95, 72, 58, 52 and 55 ms at
+# k=20 (fresh runs, median of 15, 2-core Xeon VM).
+_CHUNK = 1 << 14
 _WIDTH = 1 << 13  # the most classes a level of the oracle's walk holds
 # Bound on the class steps each worker must get (the walk takes 0.57-0.96
 # of it): a pool of two starts in 10-13 ms and a class step takes 20 ns
@@ -82,20 +87,20 @@ def _parity_codes(m: int, k: int, start: int, size: int) -> np.ndarray:
     a uint32 array: bit j is the parity of the j-th value.
 
     Each step is v + odd*((m-1)*v + 1), an even sum, then a one-bit
-    shift, on wrapping uint64: the sum is exact in the bits v is, and
-    the shift loses the top one, so after j steps the low 64 - j bits of
-    v are exact.  For k <= MAX_PERIODICITY_K every parity read is thus
-    the integer's own, for any odd m and any start.  The codes and the
-    parities are uint32, half the memory of uint64.
+    shift, on wrapping uint32: the sum is exact in the bits v is, and
+    the shift loses the top one, so after j steps the low 32 - j bits of
+    v are exact.  A code of length k reads bit 0 after at most k - 1
+    steps, so for k <= MAX_PERIODICITY_K (at most 32) every parity read
+    is the integer's own, for any odd m and any start.
     """
-    v = np.arange(size, dtype=np.uint64)
-    v += start % (1 << 64)
+    v = np.arange(size, dtype=np.uint32)
+    v += start % (1 << 32)
     code = np.zeros(size, dtype=np.uint32)
-    odd, term = np.empty_like(code), np.empty_like(v)
+    odd, term = np.empty_like(v), np.empty_like(v)
     for j in range(k):
-        np.bitwise_and(v, 1, out=odd, casting="unsafe")
+        np.bitwise_and(v, 1, out=odd)
         if j + 1 < k:
-            np.multiply(v, (m - 1) % (1 << 64), out=term)
+            np.multiply(v, (m - 1) % (1 << 32), out=term)
             term += 1
             term *= odd
             v += term

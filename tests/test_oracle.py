@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mxplus1 import (T3, T5, MapParams, count_window, density_series,
                      discrepancy_scan, iterate, periodicity_window)
 from mxplus1 import oracle
-from mxplus1.oracle import MAX_ORACLE_K, _coefficient_limits, _parity_codes
+from mxplus1.oracle import MAX_ORACLE_K, MAX_PERIODICITY_K, _coefficient_limits, _parity_codes
 from mxplus1.trajectory import _first_drops, _parity_code
 from reference import LESS, cmp_pow, scan_exact
 
@@ -493,10 +493,10 @@ def test_generalizes_to_other_multipliers():
     assert rep.matches_table
 
 
-@given(m=st.sampled_from([3, 5, 7, 2**40 + 1]),
+@given(m=st.sampled_from([3, 5, 7, 2**32 + 1, 2**40 + 1]),
        k=st.integers(min_value=1, max_value=12),
        start=st.integers(min_value=0, max_value=1 << 100),
-       near=st.sampled_from([None, "int64", "uint64"]),
+       near=st.sampled_from([None, "int64", "uint32", "uint64"]),
        size=st.integers(min_value=1, max_value=1 << 10))
 @settings(max_examples=200, deadline=None)
 def test_parity_codes_equal_parity_code_loop(m, k, start, near, size):
@@ -504,11 +504,28 @@ def test_parity_codes_equal_parity_code_loop(m, k, start, near, size):
         # the range ends just past the bound where values no longer fit
         # one int64
         start = max(0, _first_wide_stop(m, k) - 1 - start % size)
+    elif near == "uint32":
+        # the range holds 2**32, where the stepper's lanes wrap
+        start = (1 << 32) - start % size
     elif near == "uint64":
         # the range holds 2**64, where the starts wrap
         start = (1 << 64) - start % size
     codes = _parity_codes(m, k, start, size)
     assert codes.tolist() == [_parity_code(m, n, k) for n in range(start, start + size)]
+
+
+@pytest.mark.parametrize("k", [MAX_PERIODICITY_K, 32])
+@pytest.mark.parametrize("m", [3, 5, 2**31 + 1, 2**32 + 1, 2**64 + 1])
+def test_parity_codes_to_the_lane_bound(m, k):
+    # The stepper's uint32 lanes keep 32 - j exact bits after j steps, so
+    # its codes are exact to length 32, and the bound must stay there.
+    assert MAX_PERIODICITY_K <= 32
+    # From starts where uint32 and uint64 wrap.  m - 1 is 2**31 for
+    # m = 2**31 + 1, the lanes' top bit, and wraps to 0 on them for
+    # 2**32 + 1 and 2**64 + 1.
+    for start in (0, 2**32 - 2**8, 2**64 - 2**8):
+        codes = _parity_codes(m, k, start, 300).tolist()
+        assert codes == [_parity_code(m, n, k) for n in range(start, start + 300)]
 
 
 def _periodicity_by_loop(m: int, k: int, start: int) -> tuple[int, bool]:
