@@ -69,6 +69,13 @@ class Cycle:
 
 
 MAX_CYCLE_SEARCH_K = 28
+# find_cycles steps the starts |x| < _SMALL and joins the rest only in the
+# window of their product identity.  Sweep of in-process find_cycles for
+# m=3/5/7 (medians of interleaved runs, 2-core Xeon VM), in ms: at k_max=20,
+# 1 5.3/2.4/1.1, 16 .54/.35/.29, 32 .47/.33/.33, 40 .47/.36/.38, 64
+# .58/.48/.50; at 28, 1 68/39/13, 16 8.2/7.1/4.7, 32 4.8/1.9/1.9, 40
+# 3.7/1.8/1.9, 64 4.3/2.2/2.2; at 36, 16 154/96/38, 32 87/27/28, 40 67/28/28.
+_SMALL = 40
 
 
 def solve(eq: DiophantineEq) -> DiophantineSolution:
@@ -142,6 +149,15 @@ def _close_cycle(p: MapParams, x: int, k_max: int) -> tuple[int, ...]:
     return tuple(values[pivot:] + values[:pivot])
 
 
+def _returns(p: MapParams, x: int, k_max: int) -> bool:
+    """Whether x comes back to itself within k_max steps."""
+    v = x
+    for _ in range(k_max):
+        if (v := step(p, v)) == x:
+            return True
+    return False
+
+
 def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
     """All cycles whose parity vector has length at most k_max.
 
@@ -153,11 +169,23 @@ def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
     once, grouped by odd count (a word of length L extends one of L - 1
     by a bit: c, or m*c + 2**(L-1)), and for each t and split (k2(u),
     k2(v)) the residues of the c(v) are joined to those of the c(u).
-    Where |d| = 1 every residue is 0 and every pair a hit.  Each cycle is
-    closed once, by iteration from its first hit, and rotated to
-    canonical form; its other hits are skipped.  Sorted by (length, start).
-    Memory grows as 2**(k_max / 2), the longest folds; time as k_max
-    times that.
+    Where |d| = 1 every residue is 0 and every pair a hit.
+
+    Only the pairs with (s*m - 1)**k2 <= s**k2 * 2**t <= (s*m + 1)**k2,
+    s = _SMALL, are joined; every start |x| < s is stepped up to k_max
+    times instead, and is a candidate if it returns to itself:
+    - over a period of a cycle the ratios x' / x multiply to 1, an even
+      element giving 1/2 and an odd one (m + 1/x) / 2, so 2**t is the
+      product of m + 1/x over the k2 odd elements;
+    - a cycle keeps one sign, and 0 is its own cycle, so where every odd
+      |x| >= s each factor lies in [m - 1/s, m + 1/s], and 2**t between
+      their k2-th powers;
+    - a word that runs a cycle r times raises both sides to the power r;
+    - every other cycle has an odd |x| < s, which stepping finds.
+    Each cycle is closed once, by iteration from its first candidate, and
+    rotated to canonical form; its other candidates are skipped.  Sorted
+    by (length, start).  Memory grows as 2**(k_max / 2), the longest
+    folds, and so does time: the window leaves few k2 for each t.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
@@ -172,10 +200,13 @@ def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
             level[k] += cs
             level[k + 1] += [m * c + (1 << (L - 1)) for c in cs]
         folds.append(level)
-    candidates = set()
+    s = _SMALL
+    candidates = {x for x in range(1 - s, s) if _returns(p, x, k_max)}
     for t in range(1, k_max + 1):
         h = t // 2
         for k2 in range(t + 1):
+            if not (s * m - 1)**k2 <= s**k2 << t <= (s * m + 1)**k2:
+                continue
             d = (1 << t) - pow_m[k2]  # even minus odd: odd, never 0
             n, inv = abs(d), pow(2, -h, abs(d))
             for ku in range(max(0, k2 - t + h), min(h, k2) + 1):

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -83,11 +85,13 @@ def test_find_cycles_m3_k1():
     assert [c.values for c in find_cycles(T3, 1)] == [(-1,), (0,)]
 
 
-def test_find_cycles_where_the_divisor_is_a_unit():
+def test_find_cycles_where_the_divisor_is_a_unit(monkeypatch):
     # |2**t - m**k2| = 1 at t=1 (k2 = 0, and k2 = 1 for m=3), at t=2 with
     # k2=1 (the loop <1, 2>) and at t=3 with k2=2 (9 - 8, the loop through
     # -5): every half-word pair there is a fixed point, and at k_max = 3
     # these loops come from no other word.  For m=7, 8 - 7 = 1 gives <1 4 2>.
+    # With s = 1 only 0 is stepped, so the loops come from the join.
+    monkeypatch.setattr(diophantine, "_SMALL", 1)
     got = [c.values for c in find_cycles(T3, 3)]
     assert got == [(-1,), (0,), (1, 2), (-5, -7, -10)]
     assert (1, 4, 2) in [c.values for c in find_cycles(MapParams(7), 3)]
@@ -164,7 +168,7 @@ def test_find_cycles_matches_vector_enumeration(m):
 
 def test_find_cycles_memory_is_bounded_by_k_max():
     # The folds of the half-words hold about 2**(k_max / 2 + 1) offsets:
-    # about 42 KiB at k_max = 18 and 1.2 MB at the budget, where a search
+    # about 26 KiB at k_max = 18 and 1.0 MiB at the budget, where a search
     # that held 2**k_max of anything would not fit.
     for k_max, bound in ((18, 64 << 10), (MAX_CYCLE_SEARCH_K, 4 << 20)):
         tracemalloc.start()
@@ -181,6 +185,53 @@ def test_meet_in_the_middle_matches_lyndon_walk(m, k_top):
     p = MapParams(m)
     for k_max in range(1, k_top + 1):
         assert find_cycles(p, k_max) == lyndon_cycles(p, k_max)
+
+
+@pytest.mark.parametrize("s", [1, 2, 14])
+@pytest.mark.parametrize("m", [3, 5, 7, 11, 181])
+def test_find_cycles_with_fewer_stepped_starts_matches_lyndon_walk(monkeypatch, m, s):
+    # At s = 1 only 0 is stepped and the window (m +- 1)**k2 alone admits
+    # the joins; for m=3, -1 and <1, 2> sit on its two ends.  At s = 2,
+    # -1 and 1 are the ends of the stepped range and m=3's loops through
+    # them lie outside the window.  At 14, m=5's loop through 17 and
+    # m=181's through 27 and 35 come from the join.
+    monkeypatch.setattr(diophantine, "_SMALL", s)
+    p = MapParams(m)
+    for k_max in range(1, 21):
+        assert find_cycles(p, k_max) == lyndon_cycles(p, k_max)
+
+
+@pytest.mark.parametrize("s", [1, 14, 27])
+def test_the_join_alone_finds_the_cycles_clear_of_the_stepped_starts(monkeypatch, s):
+    # With no start stepped, every cycle whose odd elements all have
+    # |x| >= s must still come from the joins inside the window.
+    monkeypatch.setattr(diophantine, "_SMALL", s)
+    monkeypatch.setattr(diophantine, "_returns", lambda p, x, k_max: False)
+    clear = 0
+    for m in (3, 5, 7, 11, 181):
+        p = MapParams(m)
+        got, want = set(find_cycles(p, 20)), set(lyndon_cycles(p, 20))
+        assert got <= want
+        for c in want - got:
+            assert c.values == (0,) or min(abs(x) for x in c.values if x % 2) < s
+        clear += len(got)
+    assert clear > 0
+
+
+def test_cycles_obey_their_product_identity():
+    # Over one period 2**t = prod(m + 1/x) over the odd elements x, so
+    # (t, k2) lies in the window of s = the least odd |x|.
+    checked = 0
+    for m in (3, 5, 7, 181):
+        for c in find_cycles(MapParams(m), 20):
+            if c.values == (0,):
+                continue
+            odd = [x for x in c.values if x % 2]
+            t, k2, s = c.length, len(odd), min(abs(x) for x in odd)
+            assert 2**t == math.prod(m + Fraction(1, x) for x in odd)
+            assert (s * m - 1)**k2 <= s**k2 * 2**t <= (s * m + 1)**k2
+            checked += 1
+    assert checked == 11
 
 
 def _lyndon_levels(monkeypatch, m, k_max):

@@ -547,7 +547,7 @@ def test_periodicity_window_equals_parity_code_loop(m, k, start):
 
 
 @pytest.mark.parametrize("m,k", [(3, 10), (5, 11), (7, 8)])
-def test_periodicity_window_across_int64_bound(m, k):
+def test_periodicity_window_in_eight_chunks(m, k):
     # The window ends at the bound past which values no longer fit one
     # int64, so the shifted window lies past it.
     width = 1 << k
