@@ -124,75 +124,77 @@ def _cmd_verify_periodicity(args) -> int:
     return 0 if distinct_ok and repeats_ok else 1
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--m", type=int, default=3,
-                     help="odd multiplier >= 3 (3 and 5 are the classic maps)")
-    sub.add_argument("--out", default=None, help="write output to this path")
-    sub.set_defaults(parser=sub)
+# name -> (help, handler, the arguments after --m and --out), in help order
+_COMMANDS = {
+    "density": ("run the column recursion and export the series", _cmd_density, (
+        ("--k-max", dict(type=int, required=True, help="last column to compute")),
+        ("--every", dict(type=int, default=1, dest="stride", metavar="EVERY",
+                         help="emit a point every this many k")),
+        ("--variant", dict(choices=("new", "terras", "both"), default="both")),
+        ("--format", dict(choices=("csv", "json", "plot", "table"), default="csv")),
+    )),
+    "oracle": ("brute-force a window and compare with the table", _cmd_oracle, (
+        ("--k", dict(type=int, required=True, help="window is 2**k starts, k steps")),
+        ("--offset", dict(type=int, default=1, help="first integer of the window")),
+        ("--jobs", dict(type=int, default=1,
+                        help="worker processes, started only when the window is "
+                             "large enough to pay for them")),
+        ("--format", dict(choices=("text", "json"), default="text")),
+    )),
+    "trajectory": ("print a trajectory", _cmd_trajectory, (
+        ("--n", dict(type=int, required=True)),
+        ("--steps", dict(type=int, required=True, dest="k", metavar="STEPS")),
+    )),
+    "stopping": ("both stopping-time notions side by side", _cmd_stopping, (
+        ("--n", dict(type=int, required=True)),
+        ("--cap", dict(type=int, default=1000)),
+    )),
+    "vector": ("parity vector, its equation and residue class", _cmd_vector, (
+        ("--n", dict(type=int, required=True)),
+        ("--k", dict(type=int, required=True)),
+    )),
+    "cycles": ("enumerate cycles up to a vector length", _cmd_cycles, (
+        ("--k-max", dict(type=int, required=True)),
+        ("--format", dict(choices=("text", "json"), default="text")),
+    )),
+    "verify-periodicity": ("check vector distinctness and window repetition",
+                           _cmd_verify_periodicity, (
+        ("--k", dict(type=int, required=True)),
+        ("--start", dict(type=int, default=1)),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names
+    one, which is all `main` needs.  The pruned parser pins every name in
+    its usage line, so that its errors read as the full parser's; the full
+    parser keeps argparse's own metavar, which its "invalid choice" and
+    "required" messages name."""
     parser = argparse.ArgumentParser(
         prog="mxplus1",
         description="Stopping-time distribution tables for mx+1 maps, "
                     "with an exact column recursion and a brute-force cross-check.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    d = subs.add_parser("density", help="run the column recursion and export the series")
-    _add_common(d)
-    d.add_argument("--k-max", type=int, required=True, help="last column to compute")
-    d.add_argument("--every", type=int, default=1, dest="stride", metavar="EVERY",
-                   help="emit a point every this many k")
-    d.add_argument("--variant", choices=("new", "terras", "both"), default="both")
-    d.add_argument("--format", choices=("csv", "json", "plot", "table"), default="csv")
-    d.set_defaults(func=_cmd_density)
-
-    o = subs.add_parser("oracle", help="brute-force a window and compare with the table")
-    _add_common(o)
-    o.add_argument("--k", type=int, required=True, help="window is 2**k starts, k steps")
-    o.add_argument("--offset", type=int, default=1, help="first integer of the window")
-    o.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, started only when the window is "
-                        "large enough to pay for them")
-    o.add_argument("--format", choices=("text", "json"), default="text")
-    o.set_defaults(func=_cmd_oracle)
-
-    t = subs.add_parser("trajectory", help="print a trajectory")
-    _add_common(t)
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--steps", type=int, required=True, dest="k", metavar="STEPS")
-    t.set_defaults(func=_cmd_trajectory)
-
-    s = subs.add_parser("stopping", help="both stopping-time notions side by side")
-    _add_common(s)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--cap", type=int, default=1000)
-    s.set_defaults(func=_cmd_stopping)
-
-    v = subs.add_parser("vector", help="parity vector, its equation and residue class")
-    _add_common(v)
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--k", type=int, required=True)
-    v.set_defaults(func=_cmd_vector)
-
-    c = subs.add_parser("cycles", help="enumerate cycles up to a vector length")
-    _add_common(c)
-    c.add_argument("--k-max", type=int, required=True)
-    c.add_argument("--format", choices=("text", "json"), default="text")
-    c.set_defaults(func=_cmd_cycles)
-
-    vp = subs.add_parser("verify-periodicity",
-                         help="check vector distinctness and window repetition")
-    _add_common(vp)
-    vp.add_argument("--k", type=int, required=True)
-    vp.add_argument("--start", type=int, default=1)
-    vp.set_defaults(func=_cmd_verify_periodicity)
-
+    if command in _COMMANDS:
+        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = _COMMANDS, None
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_, func, arguments = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_)
+        sub.add_argument("--m", type=int, default=3,
+                         help="odd multiplier >= 3 (3 and 5 are the classic maps)")
+        sub.add_argument("--out", default=None, help="write output to this path")
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(parser=sub, func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

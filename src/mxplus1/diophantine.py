@@ -184,39 +184,42 @@ def find_cycles(p: MapParams, k_max: int) -> list[Cycle]:
     - every other cycle has an odd |x| < s, which stepping finds.
     Each cycle is closed once, by iteration from its first candidate, and
     rotated to canonical form; its other candidates are skipped.  Sorted
-    by (length, start).  Memory grows as 2**(k_max / 2), the longest
-    folds, and so does time: the window leaves few k2 for each t.
+    by (length, start).  Only the half-words up to the longest half,
+    t - t // 2, of a pair in the window are folded, and none where no pair
+    is in it (m=5 and m=7 up to t = 36).  Memory grows as the longest
+    folds, at most 2**(k_max / 2), and so does time: the window leaves few
+    k2 for each t.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
     if k_max > MAX_CYCLE_SEARCH_K:
         raise ValueError(
             f"k_max={k_max} exceeds the enumeration budget ({MAX_CYCLE_SEARCH_K})")
-    # folds[L][k]: the offsets c of the words of length L with k odd bits
-    m, pow_m, folds = p.m, [p.m**q for q in range(k_max + 1)], [[[0]]]
-    for L in range(1, (k_max + 1) // 2 + 1):
+    s, m, pow_m = _SMALL, p.m, [p.m**q for q in range(k_max + 1)]
+    pairs = [(t, k2) for t in range(1, k_max + 1) for k2 in range(t + 1)
+             if (s * m - 1)**k2 <= s**k2 << t <= (s * m + 1)**k2]
+    # folds[L][k]: the offsets c of the words of length L with k odd bits,
+    # to the longest half, t - t // 2, of a pair in the window
+    folds = [[[0]]]
+    for L in range(1, max((t - t // 2 for t, _ in pairs), default=0) + 1):
         level = [[] for _ in range(L + 1)]
         for k, cs in enumerate(folds[-1]):  # bit L - 1 even, then odd
             level[k] += cs
             level[k + 1] += [m * c + (1 << (L - 1)) for c in cs]
         folds.append(level)
-    s = _SMALL
     candidates = {x for x in range(1 - s, s) if _returns(p, x, k_max)}
-    for t in range(1, k_max + 1):
+    for t, k2 in pairs:
         h = t // 2
-        for k2 in range(t + 1):
-            if not (s * m - 1)**k2 <= s**k2 << t <= (s * m + 1)**k2:
-                continue
-            d = (1 << t) - pow_m[k2]  # even minus odd: odd, never 0
-            n, inv = abs(d), pow(2, -h, abs(d))
-            for ku in range(max(0, k2 - t + h), min(h, k2) + 1):
-                a_v, us, vs = pow_m[k2 - ku], folds[h][ku], folds[t - h][k2 - ku]
-                f = -a_v * inv % n
-                keys = {cv % n for cv in vs}.intersection([f * cu % n for cu in us])
-                if keys:
-                    candidates.update((a_v * cu + (cv << h)) // d
-                                      for cu in us if (r := f * cu % n) in keys
-                                      for cv in vs if cv % n == r)
+        d = (1 << t) - pow_m[k2]  # even minus odd: odd, never 0
+        n, inv = abs(d), pow(2, -h, abs(d))
+        for ku in range(max(0, k2 - t + h), min(h, k2) + 1):
+            a_v, us, vs = pow_m[k2 - ku], folds[h][ku], folds[t - h][k2 - ku]
+            f = -a_v * inv % n
+            keys = {cv % n for cv in vs}.intersection([f * cu % n for cu in us])
+            if keys:
+                candidates.update((a_v * cu + (cv << h)) // d
+                                  for cu in us if (r := f * cu % n) in keys
+                                  for cv in vs if cv % n == r)
     cycles, closed = [], set()
     for x in candidates:
         if x not in closed:

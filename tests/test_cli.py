@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import io
@@ -11,8 +12,9 @@ import pytest
 
 import mxplus1
 from mxplus1 import bigmath, density, diophantine, oracle
-from mxplus1.cli import main
+from mxplus1.cli import build_parser, main
 from mxplus1.density import MAX_SERIES_K
+from parser_grid import EVERY_SUBCOMMAND, PARSER_GRID, parse_outcome
 from procs import children
 
 
@@ -170,6 +172,22 @@ def test_usage_error_from_argparse():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", PARSER_GRID, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_parser_of_one_subcommand_reads_as_the_full_parser(argv):
+    # main builds only the subparser that argv names: its help, usage,
+    # errors, exit codes and namespaces must be the full parser's
+    pruned = build_parser(argv[0] if argv else None)
+    assert parse_outcome(pruned, argv) == parse_outcome(build_parser(), argv)
+
+
+def test_main_builds_only_the_subparser_it_runs(monkeypatch, capsys):
+    built, add_parser = [], argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
+    assert run(capsys, "cycles", "--k-max", "5")[0] == 0
+    assert built == ["cycles"]
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["density", "--m", "3", "--k-max", "40", "--every", "5"]
     _, first, _ = run(capsys, *argv)
@@ -239,18 +257,6 @@ def test_density_usage_error_writes_nothing(tmp_path, capsys, argv, expected, to
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {expected}")
     assert target.read_bytes() == b"earlier run\r\n"
-
-
-# One valid run of each subcommand, short enough to repeat.
-EVERY_SUBCOMMAND = {
-    "density": ("density", "--k-max", "10"),
-    "oracle": ("oracle", "--k", "5"),
-    "trajectory": ("trajectory", "--n", "3", "--steps", "2"),
-    "stopping": ("stopping", "--n", "7"),
-    "vector": ("vector", "--n", "5", "--k", "2"),
-    "cycles": ("cycles", "--k-max", "5"),
-    "verify-periodicity": ("verify-periodicity", "--k", "5"),
-}
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-directory"])

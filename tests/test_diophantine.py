@@ -169,11 +169,13 @@ def test_find_cycles_matches_vector_enumeration(m):
 def test_find_cycles_memory_is_bounded_by_k_max():
     # The folds of the half-words hold about 2**(k_max / 2 + 1) offsets:
     # about 26 KiB at k_max = 18 and 1.0 MiB at the budget, where a search
-    # that held 2**k_max of anything would not fit.
-    for k_max, bound in ((18, 64 << 10), (MAX_CYCLE_SEARCH_K, 4 << 20)):
+    # that held 2**k_max of anything would not fit.  m=5 folds nothing,
+    # since no pair is in its window: about 5 KiB at the budget.
+    for p, k_max, bound in ((T3, 18, 64 << 10), (T3, MAX_CYCLE_SEARCH_K, 4 << 20),
+                            (T5, MAX_CYCLE_SEARCH_K, 64 << 10)):
         tracemalloc.start()
         try:
-            find_cycles(T3, k_max)
+            find_cycles(p, k_max)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
