@@ -11,17 +11,20 @@ error names the flag at fault.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from contextlib import closing
-from typing import Iterable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable
 
 from . import report
 from .density import _points
 from .diophantine import _start_vector, classify, find_cycles
 from .trajectory import MapParams, StoppingTimeResult, _first_drops, iterate
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _write_lines(lines: Iterable[str], out: str | None) -> None:
@@ -124,7 +127,14 @@ def _cmd_verify_periodicity(args) -> int:
     return 0 if distinct_ok and repeats_ok else 1
 
 
-# name -> (help, handler, the arguments after --m and --out), in help order
+# the flags of every subcommand, before its own
+_SHARED = (
+    ("--m", dict(type=int, default=3,
+                 help="odd multiplier >= 3 (3 and 5 are the classic maps)")),
+    ("--out", dict(default=None, help="write output to this path")),
+)
+
+# name -> (help, handler, the flags after _SHARED), in help order
 _COMMANDS = {
     "density": ("run the column recursion and export the series", _cmd_density, (
         ("--k-max", dict(type=int, required=True, help="last column to compute")),
@@ -165,12 +175,49 @@ _COMMANDS = {
 }
 
 
+def _dest(flag: str, options: dict) -> str:
+    return options.get("dest", flag[2:].replace("-", "_"))
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that argparse returns for argv of the plain form
+    `name (--flag value)*`: an exact subcommand name, each flag spelled
+    out in full and given once, no value that starts with "-", each value
+    converted by its type and among its choices, every required flag
+    given.  None for any other argv (help, "=" forms, abbreviations,
+    negative numbers, repeats, bad values, a missing flag): argparse
+    parses those, and prints their help and usage errors."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) < len(argv) // 2 or any(v.startswith("-") for v in given.values()):
+        return None
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, options in _SHARED + arguments:
+        if flag in given:
+            try:
+                value = options.get("type", str)(given.pop(flag))
+            except ValueError:
+                return None
+            if value not in options.get("choices", (value,)):
+                return None
+        elif options.get("required"):
+            return None
+        else:
+            value = options.get("default")
+        setattr(args, _dest(flag, options), value)
+    return None if given else args  # a flag left over is not one of its own
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of `command` alone when it names
     one, which is all `main` needs.  The pruned parser pins every name in
     its usage line, so that its errors read as the full parser's; the full
     parser keeps argparse's own metavar, which its "invalid choice" and
     "required" messages name."""
+    import argparse  # only help and usage errors need it: see _parse
+
     parser = argparse.ArgumentParser(
         prog="mxplus1",
         description="Stopping-time distribution tables for mx+1 maps, "
@@ -183,18 +230,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in names:
         help_, func, arguments = _COMMANDS[name]
         sub = subs.add_parser(name, help=help_)
-        sub.add_argument("--m", type=int, default=3,
-                         help="odd multiplier >= 3 (3 and 5 are the classic maps)")
-        sub.add_argument("--out", default=None, help="write output to this path")
-        for flag, options in arguments:
+        for flag, options in _SHARED + arguments:
             sub.add_argument(flag, **options)
-        sub.set_defaults(parser=sub, func=func)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -205,9 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         return 141
     # a leading parameter name becomes its flag; other messages pass as written
     name = re.match(r"\w*", msg).group()
-    for action in args.parser._actions:
-        if action.dest == name:
-            msg = action.option_strings[0] + msg[len(name):]
+    for flag, options in _SHARED + _COMMANDS[args.command][2]:
+        if _dest(flag, options) == name:
+            msg = flag + msg[len(name):]
     print(f"error: {msg}", file=sys.stderr)
     return 2
 

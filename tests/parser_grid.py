@@ -1,5 +1,6 @@
 """argv on which the parser pruned to one subcommand must read as the
-full parser, and what parsing one of them prints, exits with and yields.
+full parser, and on which the plain reader must return None or their
+namespace; and what parsing one of them prints, exits with and yields.
 Standard library only, so that an interpreter without numpy or pytest
 can run the comparison too."""
 
@@ -35,11 +36,11 @@ PARSER_GRID = (
 def parse_outcome(parser, argv):
     """(exit code, stdout, stderr, namespace) of parser.parse_args(argv);
     the code is None when parsing returns, and the namespace None when it
-    exits.  The namespace's parser entry is given by its prog."""
+    exits."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             ns = vars(parser.parse_args(list(argv)))
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue(), None
-    return None, out.getvalue(), err.getvalue(), {**ns, "parser": ns["parser"].prog}
+    return None, out.getvalue(), err.getvalue(), ns

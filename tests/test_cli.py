@@ -9,10 +9,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mxplus1
 from mxplus1 import bigmath, density, diophantine, oracle
-from mxplus1.cli import build_parser, main
+from mxplus1.cli import _COMMANDS, _SHARED, _parse, build_parser, main
 from mxplus1.density import MAX_SERIES_K
 from parser_grid import EVERY_SUBCOMMAND, PARSER_GRID, parse_outcome
 from procs import children
@@ -174,18 +176,90 @@ def test_usage_error_from_argparse():
 
 @pytest.mark.parametrize("argv", PARSER_GRID, ids=lambda argv: " ".join(argv) or "no-argv")
 def test_parser_of_one_subcommand_reads_as_the_full_parser(argv):
-    # main builds only the subparser that argv names: its help, usage,
-    # errors, exit codes and namespaces must be the full parser's
+    # for argv that argparse reads, main builds only the subparser that
+    # argv names: its help, usage, errors, exit codes and namespaces must
+    # be the full parser's
     pruned = build_parser(argv[0] if argv else None)
     assert parse_outcome(pruned, argv) == parse_outcome(build_parser(), argv)
 
 
+def _plain_path_agrees(argv):
+    """True when the plain reader takes argv, which it may only do where
+    argparse parses argv to the same namespace and prints nothing."""
+    plain = _parse(argv)
+    if plain is not None:
+        assert parse_outcome(build_parser(argv[0]), argv) == (None, "", "", vars(plain))
+    return plain is not None
+
+
+def test_plain_reader_takes_every_valid_argv_of_the_grid_and_no_other():
+    taken = [argv for argv in PARSER_GRID if _plain_path_agrees(argv)]
+    assert taken == list(EVERY_SUBCOMMAND.values())
+
+
+def _flags(name):
+    return _SHARED + _COMMANDS[name][2]
+
+
+# values of every kind a flag meets: valid and negative numbers, ones
+# int() reads only in part or not at all, and every choice, valid or not
+VALUES = st.one_of(st.integers(-3, 30).map(str), st.sampled_from(
+    ["x", "3.5", "", " 7", "+4", "1_0", "-", "--", "-h", "-x", "csv", "json", "plot", "table",
+     "text", "xml", "new", "terras", "both", "old"]))
+
+
+def _value(options):
+    valid = st.sampled_from(options.get("choices", ("0", "5", "12")))
+    return st.one_of(valid, VALUES)
+
+
+@st.composite
+def argv_near_the_plain_form(draw):
+    name = draw(st.sampled_from([*_COMMANDS, "cyc", "-h", "--help", "--m"]))
+    own = _flags(name if name in _COMMANDS else "cycles")
+    pieces = [[flag, draw(_value(options))] for flag, options in own
+              if draw(st.booleans()) or options.get("required") and draw(st.booleans())]
+    noise = st.one_of(st.sampled_from([flag for flag, _ in own]), st.sampled_from(
+        [flag for flag, _ in _flags("oracle")] + ["--k-ma", "--ev", "--m3", "-h", "--help"]))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        flag, value = draw(noise), draw(VALUES)
+        pieces.append(draw(st.sampled_from([[flag, value], [f"{flag}={value}"], [flag]])))
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+@given(argv=argv_near_the_plain_form())
+@example(argv=["cycles", "--k-max", "x", "--k-max", "5"])  # argparse converts both
+@example(argv=["cycles", "--k-max", "5", "--out", "-h"])
+@example(argv=["trajectory", "--n", "-5", "--steps", "2"])
+@example(argv=["cycles", "--k-ma", "5"])
+@example(argv=["cycles", "--k-max=5"])
+@settings(max_examples=500, deadline=None)
+def test_plain_reader_returns_none_or_the_namespace_of_argparse(argv):
+    # repeats, "=" forms, abbreviations, negative numbers, help, bad
+    # values and missing flags all go to argparse
+    _plain_path_agrees(argv)
+
+
 def test_main_builds_only_the_subparser_it_runs(monkeypatch, capsys):
+    # a well-formed argv builds no parser; one that argparse must read
+    # builds the subparser it names and no other
     built, add_parser = [], argparse._SubParsersAction.add_parser
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
                         lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
     assert run(capsys, "cycles", "--k-max", "5")[0] == 0
+    assert built == []
+    assert run(capsys, "cycles", "--k-max=5")[0] == 0
     assert built == ["cycles"]
+    with pytest.raises(SystemExit) as exc:
+        main(["cycles", "--k-max", "x"])
+    assert exc.value.code == 2 and built == ["cycles", "cycles"]
+
+
+def test_library_error_through_argparse_names_its_flag(capsys):
+    argv = ["density", "--k-max=5", "--every", "0"]
+    assert _parse(argv) is None
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: --every ")
 
 
 def test_determinism_byte_identical(capsys):
@@ -360,6 +434,25 @@ def test_oracle_import_does_not_load_the_pool():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     assert err.decode().split() == ["False", "False"]
+
+
+def test_a_plain_run_does_not_load_argparse(monkeypatch):
+    # argparse, and the gettext it loads on first use, wait for help and
+    # usage errors: a well-formed argv is read from the subcommand table
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the script
+    script = (
+        "import sys\n"
+        "from mxplus1.cli import main\n"
+        "assert main(['cycles', '--k-max', '5']) == 0\n"
+        "print('argparse' in sys.modules, 'gettext' in sys.modules, file=sys.stderr)\n"
+        "main(['--help'])\n"
+    )
+    proc = _run_script(script)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert err.decode().split() == ["False", "False"]
+    help_ = parse_outcome(build_parser(), ["--help"])[1]
+    assert out.decode() == "-1\n0\n1 2\n-5 -7 -10\n" + help_
 
 
 def test_density_into_a_closed_pipe_exits_141_quietly():
