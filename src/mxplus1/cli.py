@@ -189,11 +189,11 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     parses those, and prints their help and usage errors."""
     if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
         return None
-    _, func, arguments = _COMMANDS[argv[0]]
+    arguments = _COMMANDS[argv[0]][2]
     given = dict(zip(argv[1::2], argv[2::2]))
     if len(given) < len(argv) // 2 or any(v.startswith("-") for v in given.values()):
         return None
-    args = SimpleNamespace(command=argv[0], func=func)
+    args = SimpleNamespace(command=argv[0])
     for flag, options in _SHARED + arguments:
         if flag in given:
             try:
@@ -210,39 +210,28 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return None if given else args  # a flag left over is not one of its own
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone when it names
-    one, which is all `main` needs.  The pruned parser pins every name in
-    its usage line, so that its errors read as the full parser's; the full
-    parser keeps argparse's own metavar, which its "invalid choice" and
-    "required" messages name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, which prints the help and usage
+    errors of every argv that _parse refuses."""
     import argparse  # only help and usage errors need it: see _parse
 
     parser = argparse.ArgumentParser(
         prog="mxplus1",
         description="Stopping-time distribution tables for mx+1 maps, "
                     "with an exact column recursion and a brute-force cross-check.")
-    if command in _COMMANDS:
-        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
-    else:
-        names, metavar = _COMMANDS, None
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_, func, arguments = _COMMANDS[name]
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, _, arguments) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_)
         for flag, options in _SHARED + arguments:
             sub.add_argument(flag, **options)
-        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse(argv)
-    if args is None:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse(argv) or build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][1](args)
     except ValueError as exc:
         msg = str(exc)
     except BrokenPipeError:

@@ -1,6 +1,6 @@
-"""argv on which the parser pruned to one subcommand must read as the
-full parser, and on which the plain reader must return None or their
-namespace; and what parsing one of them prints, exits with and yields.
+"""argv on which `main` must print and exit as the parser, and on which
+the plain reader must return None or the parser's namespace; and what
+parsing one of them prints, exits with and yields.
 Standard library only, so that an interpreter without numpy or pytest
 can run the comparison too."""
 

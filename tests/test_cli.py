@@ -175,12 +175,26 @@ def test_usage_error_from_argparse():
 
 
 @pytest.mark.parametrize("argv", PARSER_GRID, ids=lambda argv: " ".join(argv) or "no-argv")
-def test_parser_of_one_subcommand_reads_as_the_full_parser(argv):
-    # for argv that argparse reads, main builds only the subparser that
-    # argv names: its help, usage, errors, exit codes and namespaces must
-    # be the full parser's
-    pruned = build_parser(argv[0] if argv else None)
-    assert parse_outcome(pruned, argv) == parse_outcome(build_parser(), argv)
+def test_main_reads_each_grid_argv_as_the_full_parser(argv, monkeypatch, capsys):
+    # main prints the parser's help and usage errors byte for byte and
+    # exits with its code; an argv the parser reads, the plain reader takes
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err, _ = parse_outcome(build_parser(), argv)
+    if code is None:
+        assert _plain_path_agrees(argv)
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+def test_help_lists_every_subcommand_with_its_help(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert all(f"    {name}" in out and help_ in out for name, (help_, _, _) in _COMMANDS.items())
 
 
 def _plain_path_agrees(argv):
@@ -188,7 +202,7 @@ def _plain_path_agrees(argv):
     argparse parses argv to the same namespace and prints nothing."""
     plain = _parse(argv)
     if plain is not None:
-        assert parse_outcome(build_parser(argv[0]), argv) == (None, "", "", vars(plain))
+        assert parse_outcome(build_parser(), argv) == (None, "", "", vars(plain))
     return plain is not None
 
 
@@ -240,19 +254,19 @@ def test_plain_reader_returns_none_or_the_namespace_of_argparse(argv):
     _plain_path_agrees(argv)
 
 
-def test_main_builds_only_the_subparser_it_runs(monkeypatch, capsys):
+def test_main_builds_a_parser_only_for_argv_the_plain_reader_refuses(monkeypatch, capsys):
     # a well-formed argv builds no parser; one that argparse must read
-    # builds the subparser it names and no other
+    # builds every subparser once
     built, add_parser = [], argparse._SubParsersAction.add_parser
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
                         lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
     assert run(capsys, "cycles", "--k-max", "5")[0] == 0
     assert built == []
     assert run(capsys, "cycles", "--k-max=5")[0] == 0
-    assert built == ["cycles"]
+    assert built == list(_COMMANDS)
     with pytest.raises(SystemExit) as exc:
         main(["cycles", "--k-max", "x"])
-    assert exc.value.code == 2 and built == ["cycles", "cycles"]
+    assert exc.value.code == 2 and built == list(_COMMANDS) * 2
 
 
 def test_library_error_through_argparse_names_its_flag(capsys):
